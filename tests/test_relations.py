@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from polyphi import relations
 from polyphi import (
     GeeParams,
     IndexSet,
@@ -94,6 +95,16 @@ def test_relation_matrix_validation():
 def test_build_matrix_deterministic():
     a = GeeParams((2, 1, 2))
     assert build_matrix(a) == build_matrix(a)
+
+
+@pytest.mark.parametrize("a", [(2, 2), (1, 3, 2, 1), (2, 2, 2, 2)])
+def test_build_matrix_bits_match_pairwise_disjointness(a):
+    m = build_matrix(GeeParams(a))
+    assert m.columns == tuple(enumerate_subgees(GeeParams(a)))
+    assert m.rows == m.columns[1:]
+    for i, row in enumerate(m.rows):
+        for j, column in enumerate(m.columns):
+            assert m.entry(i, j) == int(row.isdisjoint(column)), (row, column)
 
 
 def test_matrix_disjointness_symmetric():
@@ -196,3 +207,21 @@ def test_annihilation_failures_empty_on_valid_gees():
     for a in [(1,), (2,), (1, 1), (2, 2, 2)]:
         assert annihilation_failures(GeeParams(a)) == []
     assert annihilation_failures(GeeParams(())) == []
+
+
+@pytest.mark.parametrize(
+    "a, flipped",
+    [((2, 2), ()), ((2, 2), (1,)), ((1, 3, 2, 1), (2, 5)), ((2, 2, 2), (1, 3, 5))],
+)
+def test_annihilation_failures_are_the_rows_disjoint_from_a_flipped_value(
+    monkeypatch, a, flipped
+):
+    gee = GeeParams(a)
+    target = IndexSet(flipped)
+    original = relations.pairing_set
+    monkeypatch.setattr(
+        relations, "pairing_set", lambda g, s: original(g, s) ^ (s == target)
+    )
+    expected = [s for s in enumerate_subgees(gee) if s and s.isdisjoint(target)]
+    assert expected
+    assert annihilation_failures(gee) == expected
