@@ -15,6 +15,7 @@ from .combinatorics import (
     compositions,
     is_subgee_profile,
     set_leq,
+    subgee_profiles,
 )
 from .duality import (
     TopMonomial,
@@ -72,6 +73,7 @@ __all__ = [
     "compositions",
     "is_subgee_profile",
     "set_leq",
+    "subgee_profiles",
     "TopMonomial",
     "admissible_summands",
     "closed_form_k3",

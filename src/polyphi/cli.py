@@ -11,9 +11,10 @@ import csv
 import io
 import json
 import sys
+from collections.abc import Callable
 from fractions import Fraction
 
-from .combinatorics import GeeParams, IndexSet, block_counts, compositions, is_subgee_profile
+from .combinatorics import GeeParams, IndexSet, block_counts, is_subgee_profile, subgee_profiles
 from .duality import (
     TopMonomial,
     admissible_summands,
@@ -63,30 +64,6 @@ def _parse_subset(text: str) -> IndexSet:
     return IndexSet(int(t) for t in tokens)
 
 
-def _render_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _csv_rows(header: list[str], rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _fmt_gee(gee: GeeParams) -> str:
-    return f"({','.join(map(str, gee.a))})"
-
-
-def _fmt_set_desc(s: IndexSet) -> str:
-    return "{" + ",".join(map(str, s.descending())) + "}"
-
-
-def _bool(v: bool) -> str:
-    return "true" if v else "false"
-
-
 def _gee_from_args(args: argparse.Namespace) -> tuple[GeeParams, LengthVector | None]:
     """Resolve the gee either directly or through a monogenic length vector."""
     if getattr(args, "a", None) is not None:
@@ -96,43 +73,22 @@ def _gee_from_args(args: argparse.Namespace) -> tuple[GeeParams, LengthVector | 
     return monogenic_gee(code), lv
 
 
-def _cmd_gene(args: argparse.Namespace) -> int:
+# Each command returns (exit code, payload); the payload is the JSON output.
+
+def _cmd_gene(args: argparse.Namespace) -> tuple[int, dict]:
     lv = _parse_lengths(args.lengths)
     code = genetic_code(lv, max_n=args.max_n)
     gee = monogenic_gee(code) if code.is_monogenic else None
-    if args.format == "json":
-        payload = {
-            "n": code.n,
-            "generic": True,
-            "code": [list(g.descending()) for g in code.genes],
-            "monogenic": code.is_monogenic,
-            "a": list(gee.a) if gee is not None else None,
-        }
-        sys.stdout.write(_render_json(payload))
-    elif args.format == "csv":
-        sys.stdout.write(
-            _csv_rows(
-                ["n", "generic", "monogenic", "a", "code"],
-                [[
-                    str(code.n),
-                    "true",
-                    _bool(code.is_monogenic),
-                    " ".join(map(str, gee.a)) if gee is not None else "",
-                    ";".join(" ".join(map(str, g.descending())) for g in code.genes),
-                ]],
-            )
-        )
-    else:
-        print(f"n: {code.n}")
-        print("generic: true")
-        print(f"code: {'; '.join(_fmt_set_desc(g) for g in code.genes)}")
-        print(f"monogenic: {_bool(code.is_monogenic)}")
-        if gee is not None:
-            print(f"a: {_fmt_gee(gee)}")
-    return 0
+    return 0, {
+        "n": code.n,
+        "generic": True,
+        "code": [list(g.descending()) for g in code.genes],
+        "monogenic": code.is_monogenic,
+        "a": list(gee.a) if gee is not None else None,
+    }
 
 
-def _cmd_phi(args: argparse.Namespace) -> int:
+def _cmd_phi(args: argparse.Namespace) -> tuple[int, dict]:
     gee, lv = _gee_from_args(args)
     subset = _parse_subset(args.J)
     if lv is not None:
@@ -141,192 +97,181 @@ def _cmd_phi(args: argparse.Namespace) -> int:
         value = pairing_set(gee, subset)
     in_span = not subset or max(subset) <= gee.span
     profile = block_counts(subset, gee) if in_span else None
-    subgee = in_span and is_subgee_profile(profile)
-    explain = (
-        admissible_summands(gee, profile)
-        if args.explain and profile is not None
-        else None
-    )
-    if args.format == "json":
-        payload = {
-            "a": list(gee.a),
-            "J": list(subset.elements),
-            "n": lv.n if lv is not None else None,
-            "theta": list(profile) if profile is not None else None,
-            "subgee": subgee,
-            "phi": value,
-        }
-        if explain is not None:
-            payload["explain"] = [{"b": list(b), "term": term} for b, term in explain]
-        sys.stdout.write(_render_json(payload))
-    elif args.format == "csv":
-        sys.stdout.write(
-            _csv_rows(
-                ["a", "J", "theta", "subgee", "phi"],
-                [[
-                    " ".join(map(str, gee.a)),
-                    " ".join(map(str, subset.elements)),
-                    " ".join(map(str, profile)) if profile is not None else "",
-                    _bool(subgee),
-                    str(value),
-                ]],
-            )
-        )
-    else:
-        print(f"phi: {value}")
-        print(f"theta: {profile if profile is not None else 'undefined (subscript beyond gee span)'}")
-        print(f"subgee: {_bool(subgee)}")
-        if explain is not None:
-            for b, term in explain:
-                print(f"B: {b} term={term}")
-    return 0
+    payload = {
+        "a": list(gee.a),
+        "J": list(subset.elements),
+        "n": lv.n if lv is not None else None,
+        "theta": list(profile) if profile is not None else None,
+        "subgee": in_span and is_subgee_profile(profile),
+        "phi": value,
+    }
+    if args.explain and profile is not None:
+        payload["explain"] = [
+            {"b": list(b), "term": term} for b, term in admissible_summands(gee, profile)
+        ]
+    return 0, payload
 
 
-def _table_profiles(gee: GeeParams) -> list[tuple[int, ...]]:
-    rows = []
-    for r in range(gee.k + 1):
-        for profile in compositions(r, gee.k):
-            if is_subgee_profile(profile) and all(c <= a for c, a in zip(profile, gee.a)):
-                rows.append(profile)
-    return rows
-
-
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_table(args: argparse.Namespace) -> tuple[int, dict]:
     gee = _parse_gee(args.a)
     limit = 1
     for a in gee.a:
         limit *= a + 1
     if limit > args.max_basis:
         raise SizeLimitError(f"table may reach {limit} rows, exceeding max_basis={args.max_basis}")
-    rows = [(t, pairing_by_profile(gee, t)) for t in _table_profiles(gee)]
-    if args.format == "json":
-        payload = {
-            "a": list(gee.a),
-            "rows": [{"theta": list(t), "phi": v} for t, v in rows],
-        }
-        sys.stdout.write(_render_json(payload))
-    elif args.format == "csv":
-        sys.stdout.write(
-            _csv_rows(["theta", "phi"], [[" ".join(map(str, t)), str(v)] for t, v in rows])
-        )
-    else:
-        width = max(5, 2 * gee.k - 1)
-        print(f"{'theta':<{width}}  phi")
-        for t, v in rows:
-            print(f"{' '.join(map(str, t)):<{width}}  {v}")
-    return 0
+    return 0, {
+        "a": list(gee.a),
+        "rows": [
+            {"theta": list(t), "phi": pairing_by_profile(gee, t)} for t in subgee_profiles(gee)
+        ],
+    }
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
     gee = _parse_gee(args.a)
     failures = annihilation_failures(gee, max_basis=args.max_basis)
-    relations = subgee_count(gee) - 1 if gee.k else 0
-    ok = not failures
-    if args.format == "json":
-        payload = {
-            "a": list(gee.a),
-            "relations": relations,
-            "all_annihilated": ok,
-            "failures": [list(f.descending()) for f in failures],
-        }
-        sys.stdout.write(_render_json(payload))
-    elif args.format == "csv":
-        sys.stdout.write(
-            _csv_rows(
-                ["a", "relations", "all_annihilated", "failures"],
-                [[
-                    " ".join(map(str, gee.a)),
-                    str(relations),
-                    _bool(ok),
-                    ";".join(" ".join(map(str, f.descending())) for f in failures),
-                ]],
-            )
-        )
-    else:
-        if ok:
-            print(f"all {relations} relations annihilated")
-        else:
-            for f in failures:
-                print(f"relation not annihilated: I={_fmt_set_desc(f)}")
-    return 0 if ok else 1
+    return (1 if failures else 0), {
+        "a": list(gee.a),
+        "relations": subgee_count(gee) - 1 if gee.k else 0,
+        "all_annihilated": not failures,
+        "failures": [list(f.descending()) for f in failures],
+    }
 
 
-def _cmd_oracle(args: argparse.Namespace) -> int:
+def _cmd_oracle(args: argparse.Namespace) -> tuple[int, dict]:
     gee = _parse_gee(args.a)
     report = cross_validate(gee, max_basis=args.max_basis)
-    if args.format == "json":
-        payload = {
-            "a": list(gee.a),
-            "basis": report.basis_size,
-            "rank": report.rank,
-            "nullspace_dim": report.nullspace_dim,
-            "agree": report.agree,
-        }
-        if args.explain:
-            payload["values"] = [
-                {
-                    "J": list(c.elements),
-                    "formula": report.formula[c],
-                    "oracle": report.oracle[c] if report.oracle is not None else None,
-                }
-                for c in sorted(report.formula, key=lambda s: (len(s.elements), s.elements))
-            ]
-        sys.stdout.write(_render_json(payload))
-    elif args.format == "csv":
-        sys.stdout.write(
-            _csv_rows(
-                ["a", "basis", "rank", "nullspace_dim", "agree"],
-                [[
-                    " ".join(map(str, gee.a)),
-                    str(report.basis_size),
-                    str(report.rank),
-                    str(report.nullspace_dim),
-                    _bool(report.agree),
-                ]],
-            )
-        )
-    else:
-        print(f"a: {_fmt_gee(gee)}")
-        print(f"basis: {report.basis_size}")
-        print(f"rank: {report.rank}")
-        print(f"nullspace_dim: {report.nullspace_dim}")
-        print(f"agree: {_bool(report.agree)}")
-        if args.explain:
-            for c in sorted(report.formula, key=lambda s: (len(s.elements), s.elements)):
-                oracle = report.oracle[c] if report.oracle is not None else "-"
-                print(f"J={{{','.join(map(str, c.elements))}}} formula={report.formula[c]} oracle={oracle}")
-    return 0 if report.agree else 1
+    payload = {
+        "a": list(gee.a),
+        "basis": report.basis_size,
+        "rank": report.rank,
+        "nullspace_dim": report.nullspace_dim,
+        "agree": report.agree,
+    }
+    if args.explain:
+        payload["values"] = [
+            {
+                "J": list(c.elements),
+                "formula": report.formula[c],
+                "oracle": report.oracle[c] if report.oracle is not None else None,
+            }
+            for c in sorted(report.formula, key=lambda s: (len(s.elements), s.elements))
+        ]
+    return (0 if report.agree else 1), payload
 
 
-def _cmd_realize(args: argparse.Namespace) -> int:
+def _cmd_realize(args: argparse.Namespace) -> tuple[int, dict]:
     gee = _parse_gee(args.a)
     lv = realize_gee(gee, search_bound=args.bound)
-    total = sum(lv.lengths)
-    if args.format == "json":
-        payload = {
-            "a": list(gee.a),
-            "n": lv.n,
-            "lengths": [str(x) for x in lv.lengths],
-            "total": str(total),
-        }
-        sys.stdout.write(_render_json(payload))
-    elif args.format == "csv":
-        sys.stdout.write(
-            _csv_rows(
-                ["a", "n", "total", "lengths"],
-                [[
-                    " ".join(map(str, gee.a)),
-                    str(lv.n),
-                    str(total),
-                    " ".join(str(x) for x in lv.lengths),
-                ]],
-            )
-        )
-    else:
-        print(f"n: {lv.n}")
-        print(f"lengths: {','.join(str(x) for x in lv.lengths)}")
-        print(f"total: {total}")
-    return 0
+    return 0, {
+        "a": list(gee.a),
+        "n": lv.n,
+        "lengths": [str(x) for x in lv.lengths],
+        "total": str(sum(lv.lengths)),
+    }
+
+
+# Output: one CSV cell rule, and one small text function per command.
+
+def _cell(value: object) -> str:
+    """One CSV cell: lists are space-joined and lists of lists `;`-joined,
+    bools are true/false and None is empty."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        sep = ";" if value and isinstance(value[0], list) else " "
+        return sep.join(map(_cell, value))
+    return str(value)
+
+
+def _tuple(values: list) -> str:
+    return "(" + ",".join(map(str, values)) + ")"
+
+
+def _braces(values: list) -> str:
+    return "{" + ",".join(map(str, values)) + "}"
+
+
+def _text_gene(p: dict) -> list[str]:
+    lines = [
+        f"n: {p['n']}",
+        "generic: true",
+        f"code: {'; '.join(map(_braces, p['code']))}",
+        f"monogenic: {_cell(p['monogenic'])}",
+    ]
+    if p["a"] is not None:
+        lines.append(f"a: {_tuple(p['a'])}")
+    return lines
+
+
+def _text_phi(p: dict) -> list[str]:
+    theta = p["theta"]
+    return [
+        f"phi: {p['phi']}",
+        f"theta: {tuple(theta) if theta is not None else 'undefined (subscript beyond gee span)'}",
+        f"subgee: {_cell(p['subgee'])}",
+        *(f"B: {tuple(s['b'])} term={s['term']}" for s in p.get("explain", [])),
+    ]
+
+
+def _text_table(p: dict) -> list[str]:
+    width = max(5, 2 * len(p["a"]) - 1)
+    return [f"{'theta':<{width}}  phi"] + [
+        f"{_cell(row['theta']):<{width}}  {row['phi']}" for row in p["rows"]
+    ]
+
+
+def _text_verify(p: dict) -> list[str]:
+    if p["all_annihilated"]:
+        return [f"all {p['relations']} relations annihilated"]
+    return [f"relation not annihilated: I={_braces(f)}" for f in p["failures"]]
+
+
+def _text_oracle(p: dict) -> list[str]:
+    return [
+        f"a: {_tuple(p['a'])}",
+        f"basis: {p['basis']}",
+        f"rank: {p['rank']}",
+        f"nullspace_dim: {p['nullspace_dim']}",
+        f"agree: {_cell(p['agree'])}",
+        *(
+            f"J={_braces(v['J'])} formula={v['formula']} "
+            f"oracle={v['oracle'] if v['oracle'] is not None else '-'}"
+            for v in p.get("values", [])
+        ),
+    ]
+
+
+def _text_realize(p: dict) -> list[str]:
+    return [f"n: {p['n']}", f"lengths: {','.join(p['lengths'])}", f"total: {p['total']}"]
+
+
+# command -> (run, CSV columns, text renderer)
+_COMMANDS = {
+    "gene": (_cmd_gene, ["n", "generic", "monogenic", "a", "code"], _text_gene),
+    "phi": (_cmd_phi, ["a", "J", "theta", "subgee", "phi"], _text_phi),
+    "table": (_cmd_table, ["theta", "phi"], _text_table),
+    "verify": (_cmd_verify, ["a", "relations", "all_annihilated", "failures"], _text_verify),
+    "oracle": (_cmd_oracle, ["a", "basis", "rank", "nullspace_dim", "agree"], _text_oracle),
+    "realize": (_cmd_realize, ["a", "n", "total", "lengths"], _text_realize),
+}
+
+
+def _render(
+    fmt: str, payload: dict, columns: list[str], text: Callable[[dict], list[str]]
+) -> str:
+    if fmt == "json":
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        for record in payload.get("rows", [payload]):
+            writer.writerow([_cell(record[c]) for c in columns])
+        return buf.getvalue()
+    return "".join(line + "\n" for line in text(payload))
 
 
 def _add_format(p: argparse.ArgumentParser) -> None:
@@ -345,7 +290,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gene.add_argument("--lengths", required=True, help="comma-separated rationals, e.g. 1,1,1/2,3")
     p_gene.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, dest="max_n")
     _add_format(p_gene)
-    p_gene.set_defaults(func=_cmd_gene)
 
     p_phi = sub.add_parser("phi", help="evaluate the duality functional on a monomial")
     src = p_phi.add_mutually_exclusive_group(required=True)
@@ -355,47 +299,44 @@ def _build_parser() -> argparse.ArgumentParser:
     p_phi.add_argument("--explain", action="store_true", help="list the contributing summand profiles")
     p_phi.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, dest="max_n")
     _add_format(p_phi)
-    p_phi.set_defaults(func=_cmd_phi)
 
     p_table = sub.add_parser("table", help="tabulate the functional over all block profiles")
     p_table.add_argument("--a", required=True)
     p_table.add_argument("--max-basis", type=int, default=DEFAULT_MAX_BASIS, dest="max_basis")
     _add_format(p_table)
-    p_table.set_defaults(func=_cmd_table)
 
     p_verify = sub.add_parser("verify", help="check that the formula annihilates every relation")
     p_verify.add_argument("--a", required=True)
     p_verify.add_argument("--max-basis", type=int, default=DEFAULT_MAX_BASIS, dest="max_basis")
     _add_format(p_verify)
-    p_verify.set_defaults(func=_cmd_verify)
 
     p_oracle = sub.add_parser("oracle", help="solve the relation nullspace and compare with the formula")
     p_oracle.add_argument("--a", required=True)
     p_oracle.add_argument("--max-basis", type=int, default=DEFAULT_MAX_BASIS, dest="max_basis")
     p_oracle.add_argument("--explain", action="store_true", help="include per-subgee values")
     _add_format(p_oracle)
-    p_oracle.set_defaults(func=_cmd_oracle)
 
     p_realize = sub.add_parser("realize", help="search for a length vector with the given single gee")
     p_realize.add_argument("--a", required=True)
     p_realize.add_argument("--bound", type=int, default=40, help="maximum total integer length to try")
     _add_format(p_realize)
-    p_realize.set_defaults(func=_cmd_realize)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    run, columns, text = _COMMANDS[args.command]
     try:
-        return args.func(args)
+        code, payload = run(args)
     except RealizationNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (PolyphiError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    sys.stdout.write(_render(args.format, payload, columns, text))
+    return code
 
 
 if __name__ == "__main__":

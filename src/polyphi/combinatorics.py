@@ -21,6 +21,7 @@ __all__ = [
     "block_counts",
     "is_subgee_profile",
     "compositions",
+    "subgee_profiles",
 ]
 
 # A profile is a tuple of nonnegative per-block counts.
@@ -202,3 +203,15 @@ def compositions(total: int, k: int) -> Iterator[Profile]:
     for first in range(max(total, 0) + 1):
         for rest in compositions(total - first, k - 1):
             yield (first, *rest)
+
+
+def subgee_profiles(gee: GeeParams) -> Iterator[Profile]:
+    """The block profiles of the subgees of `gee`, in (size, lex) order.
+
+    These are the profiles that fit their blocks (c_i <= a_i) and satisfy
+    the suffix condition of `is_subgee_profile`.
+    """
+    for r in range(gee.k + 1):
+        for profile in compositions(r, gee.k):
+            if is_subgee_profile(profile) and all(c <= a for c, a in zip(profile, gee.a)):
+                yield profile

@@ -9,7 +9,7 @@ independent check paths.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -64,24 +64,19 @@ class TopMonomial:
         return len(self.subscripts)
 
 
+def _summands(gee: GeeParams, profile: Profile) -> Iterator[tuple[Profile, int]]:
+    """The complementary profiles B with |B| = k - |profile| and B + profile
+    satisfying the suffix condition, in lexicographic order, each with its
+    term: the product of binomial parities binom(a_i + b_i - 2, b_i)."""
+    for b in compositions(gee.k - sum(profile), gee.k):
+        if is_subgee_profile(tuple(x + y for x, y in zip(b, profile))):
+            yield b, int(all(binom_parity(ai + bi - 2, bi) for ai, bi in zip(gee.a, b)))
+
+
 @lru_cache(maxsize=None)
 def _profile_sum(gee: GeeParams, profile: Profile) -> int:
-    """Mod-2 sum over complementary profiles B with |B| = k - |profile| and
-    B + profile satisfying the suffix condition, of the product of
-    binomial parities binom(a_i + b_i - 2, b_i)."""
-    k = gee.k
-    r = sum(profile)
-    if r > k:
-        return 0
-    acc = 0
-    for b in compositions(k - r, k):
-        if not is_subgee_profile(tuple(x + y for x, y in zip(b, profile))):
-            continue
-        term = 1
-        for ai, bi in zip(gee.a, b):
-            term &= binom_parity(ai + bi - 2, bi)
-        acc ^= term
-    return acc
+    """Mod-2 sum of the summand terms for this profile."""
+    return sum(term for _, term in _summands(gee, profile)) & 1
 
 
 def pairing_set(gee: GeeParams, subscripts: IndexSet) -> int:
@@ -120,19 +115,7 @@ def admissible_summands(gee: GeeParams, profile: Iterable[int]) -> list[tuple[Pr
     Returns (B, term) pairs in lexicographic order of B, where term is the
     mod-2 product for that B; the pairing is the XOR of the terms.
     """
-    t = _validated_profile(gee, profile)
-    k = gee.k
-    out: list[tuple[Profile, int]] = []
-    if sum(t) > k:
-        return out
-    for b in compositions(k - sum(t), k):
-        if not is_subgee_profile(tuple(x + y for x, y in zip(b, t))):
-            continue
-        term = 1
-        for ai, bi in zip(gee.a, b):
-            term &= binom_parity(ai + bi - 2, bi)
-        out.append((b, term))
-    return out
+    return list(_summands(gee, _validated_profile(gee, profile)))
 
 
 def _validated_profile(gee: GeeParams, profile: Iterable[int]) -> Profile:

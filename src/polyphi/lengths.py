@@ -12,12 +12,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
 
-from .combinatorics import (
-    GeeParams,
-    IndexSet,
-    compositions,
-    is_subgee_profile,
-)
+from .combinatorics import GeeParams, IndexSet, subgee_profiles
 from .errors import (
     EmptySpaceError,
     InvalidLengthError,
@@ -67,10 +62,8 @@ class LengthVector:
 
     def scaled(self) -> tuple[int, ...]:
         """The lengths as integers, scaled by the common denominator."""
-        denom = 1
-        for f in self.lengths:
-            denom = lcm(denom, f.denominator)
-        return tuple(int(f * denom) for f in self.lengths)
+        denom = lcm(*(f.denominator for f in self.lengths))
+        return tuple(f.numerator * (denom // f.denominator) for f in self.lengths)
 
 
 @dataclass(frozen=True)
@@ -134,19 +127,26 @@ def is_short(lengths: LengthVector, subset: IndexSet) -> bool:
 def is_generic(lengths: LengthVector) -> bool:
     """True iff no subset of sides sums to exactly half the perimeter.
 
-    Decided by an exact subset-sum reachability pass over the scaled
-    integer lengths (a bitset of achievable sums up to half the total).
+    Decided exactly by meeting in the middle over the scaled integer
+    lengths: the subset sums of each half of the sides (at most
+    2^ceil(n/2) apiece) are listed, and no pair may add up to half the
+    total.  The cost does not depend on the size of the lengths.
     """
     ints = lengths.scaled()
     total = sum(ints)
     if total % 2:
         return True
     half = total // 2
-    cap = (1 << (half + 1)) - 1
-    reach = 1
-    for w in ints:
-        reach = (reach | (reach << w)) & cap
-    return not (reach >> half) & 1
+    mid = len(ints) // 2
+    low = _subset_sums(ints[:mid])
+    return not any(half - s in low for s in _subset_sums(ints[mid:]))
+
+
+def _subset_sums(values: Iterable[int]) -> set[int]:
+    sums = {0}
+    for v in values:
+        sums |= {s + v for s in sums}
+    return sums
 
 
 def genetic_code(lengths: LengthVector, *, max_n: int = DEFAULT_MAX_N) -> GeneticCode:
@@ -221,18 +221,13 @@ def enumerate_subgees(gee: GeeParams) -> Iterator[IndexSet]:
     """
     prefix = (0, *gee.prefix_sums)
     found: list[IndexSet] = []
-    for r in range(gee.k + 1):
-        for profile in compositions(r, gee.k):
-            if not is_subgee_profile(profile):
-                continue
-            if any(c > a for c, a in zip(profile, gee.a)):
-                continue
-            block_choices = [
-                combinations(range(prefix[i] + 1, prefix[i + 1] + 1), profile[i])
-                for i in range(gee.k)
-            ]
-            for picks in product(*block_choices):
-                found.append(IndexSet(j for block in picks for j in block))
+    for profile in subgee_profiles(gee):
+        block_choices = [
+            combinations(range(prefix[i] + 1, prefix[i + 1] + 1), profile[i])
+            for i in range(gee.k)
+        ]
+        for picks in product(*block_choices):
+            found.append(IndexSet(j for block in picks for j in block))
     found.sort(key=lambda s: (len(s.elements), s.elements))
     yield from found
 

@@ -10,14 +10,16 @@ independent of the combinatorial formula and can certify it pointwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from functools import reduce
+from math import comb, prod
+from operator import and_
 
 from .combinatorics import (
     GeeParams,
     IndexSet,
     block_counts,
-    compositions,
     is_subgee_profile,
+    subgee_profiles,
 )
 from .duality import pairing_set
 from .errors import (
@@ -80,16 +82,10 @@ class DualityReport:
 
 def subgee_count(gee: GeeParams) -> int:
     """Exact number of subgees, summed profile by profile."""
-    total = 0
-    for r in range(gee.k + 1):
-        for profile in compositions(r, gee.k):
-            if not is_subgee_profile(profile):
-                continue
-            prod = 1
-            for ai, ci in zip(gee.a, profile):
-                prod *= comb(ai, ci)
-            total += prod
-    return total
+    return sum(
+        prod(comb(ai, ci) for ai, ci in zip(gee.a, profile))
+        for profile in subgee_profiles(gee)
+    )
 
 
 def _require_nonempty_subgee(gee: GeeParams, subset: IndexSet) -> None:
@@ -117,17 +113,15 @@ def build_matrix(gee: GeeParams, *, max_basis: int = DEFAULT_MAX_BASIS) -> Relat
     if count > max_basis:
         raise SizeLimitError(f"basis size {count} exceeds max_basis={max_basis}")
     columns = tuple(enumerate_subgees(gee))
-    masks = [c.mask for c in columns]
+    # avoiding[e - 1]: the columns that do not contain element e.
+    full = (1 << len(columns)) - 1
+    avoiding = [full] * gee.span
+    for j, column in enumerate(columns):
+        for e in column:
+            avoiding[e - 1] ^= 1 << j
     rows = columns[1:]
-    bits = []
-    for i in rows:
-        imask = i.mask
-        row = 0
-        for j, jmask in enumerate(masks):
-            if not imask & jmask:
-                row |= 1 << j
-        bits.append(row)
-    return RelationMatrix(columns, rows, tuple(bits))
+    bits = tuple(reduce(and_, (avoiding[e - 1] for e in row), full) for row in rows)
+    return RelationMatrix(columns, rows, bits)
 
 
 def nullspace_functional(
@@ -181,21 +175,13 @@ def annihilation_failures(
     """
     if gee.k == 0:
         return []
-    count = subgee_count(gee)
-    if count > max_basis:
-        raise SizeLimitError(f"basis size {count} exceeds max_basis={max_basis}")
-    columns = tuple(enumerate_subgees(gee))
-    masks = [c.mask for c in columns]
-    values = [pairing_set(gee, c) for c in columns]
-    failures = []
-    for i, imask in zip(columns[1:], masks[1:]):
-        acc = 0
-        for jmask, v in zip(masks, values):
-            if not imask & jmask:
-                acc ^= v
-        if acc:
-            failures.append(i)
-    return failures
+    matrix = build_matrix(gee, max_basis=max_basis)
+    values = sum(pairing_set(gee, c) << j for j, c in enumerate(matrix.columns))
+    return [
+        row
+        for row, bits in zip(matrix.rows, matrix.bits)
+        if (bits & values).bit_count() & 1
+    ]
 
 
 def cross_validate(gee: GeeParams, *, max_basis: int = DEFAULT_MAX_BASIS) -> DualityReport:

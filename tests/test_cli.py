@@ -75,6 +75,13 @@ def test_gene_rational_lengths(capsys):
     assert json.loads(out)["code"] == [[5, 4]]
 
 
+def test_gene_large_coprime_denominators(capsys):
+    lengths = "1/999983,1/999979,1/999961,1/999959,1/999953,1/999931"
+    code, out, _ = run(capsys, "gene", "--lengths", lengths)
+    assert code == 0
+    assert "code: {6,2,1}; {6,5}" in out
+
+
 def test_gene_size_guard_exits_2(capsys):
     code, _, err = run(capsys, "gene", "--lengths", "1,1,1,1,1", "--max-n", "4")
     assert code == 2

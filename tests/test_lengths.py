@@ -106,6 +106,7 @@ def test_is_short_out_of_range():
         ([1, 2, 4, 8], True),
         ([1, 1, 1, 1], False),
         ([Fraction(1, 2), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)], False),
+        ([Fraction(1, 999983), Fraction(1, 999979), Fraction(1999962, 999983 * 999979)], False),
     ],
 )
 def test_is_generic_examples(raw, expected):
@@ -119,6 +120,13 @@ def test_is_generic_matches_brute_force():
         raw = [rng.randint(1, 12) for _ in range(n)]
         lv = normalize(raw)
         assert is_generic(lv) == brute_is_generic(lv.lengths), raw
+
+
+def test_large_coprime_denominators_are_classified():
+    # Scaled to integers, the half perimeter has 102 bits.
+    lv = normalize([Fraction(1, d) for d in (999983, 999979, 999961, 999959, 999953, 999931)])
+    assert is_generic(lv) and brute_is_generic(lv.lengths)
+    assert code_tuples(genetic_code(lv)) == brute_genetic_code(lv.lengths) == [(1, 2, 6), (5, 6)]
 
 
 def test_complement_duality():
