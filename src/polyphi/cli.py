@@ -13,6 +13,7 @@ import json
 import sys
 from collections.abc import Callable
 from fractions import Fraction
+from itertools import islice
 
 from .combinatorics import GeeParams, IndexSet, block_counts, is_subgee_profile, subgee_profiles
 from .duality import (
@@ -114,16 +115,13 @@ def _cmd_phi(args: argparse.Namespace) -> tuple[int, dict]:
 
 def _cmd_table(args: argparse.Namespace) -> tuple[int, dict]:
     gee = _parse_gee(args.a)
-    limit = 1
-    for a in gee.a:
-        limit *= a + 1
-    if limit > args.max_basis:
-        raise SizeLimitError(f"table may reach {limit} rows, exceeding max_basis={args.max_basis}")
+    # Listing stops one row past the limit: the full count can be exponential in k.
+    profiles = list(islice(subgee_profiles(gee), args.max_basis + 1))
+    if len(profiles) > args.max_basis:
+        raise SizeLimitError(f"table has more than max_basis={args.max_basis} rows")
     return 0, {
         "a": list(gee.a),
-        "rows": [
-            {"theta": list(t), "phi": pairing_by_profile(gee, t)} for t in subgee_profiles(gee)
-        ],
+        "rows": [{"theta": list(t), "phi": pairing_by_profile(gee, t)} for t in profiles],
     }
 
 

@@ -5,6 +5,15 @@ set: it is the mod-2 count, over admissible complementary profiles, of a
 product of binomial parities in the gee increments.  A closed form for
 three blocks and an exact disjoint-subgee counting formula provide
 independent check paths.
+
+The count is evaluated by a transfer DP over the blocks, last block first.
+Its state is the suffix sum s of B + profile, kept only while s is at most
+the suffix length (the suffix condition), and it records which states are
+reached by an odd number of weighted choices.  That takes O(k^2) binomial
+parities and O(k^3) bit operations, while the admissible complementary
+profiles B can be exponentially many: the zero profile has the Catalan
+number C_k of them.  Listing them stays for `--explain`; it walks only
+admissible prefixes, so it costs O(k) steps per listed profile.
 """
 
 from __future__ import annotations
@@ -20,7 +29,6 @@ from .combinatorics import (
     Profile,
     binom_parity,
     block_counts,
-    compositions,
     is_subgee_profile,
 )
 from .errors import InfeasibleProfileError
@@ -67,16 +75,50 @@ class TopMonomial:
 def _summands(gee: GeeParams, profile: Profile) -> Iterator[tuple[Profile, int]]:
     """The complementary profiles B with |B| = k - |profile| and B + profile
     satisfying the suffix condition, in lexicographic order, each with its
-    term: the product of binomial parities binom(a_i + b_i - 2, b_i)."""
-    for b in compositions(gee.k - sum(profile), gee.k):
-        if is_subgee_profile(tuple(x + y for x, y in zip(b, profile))):
-            yield b, int(all(binom_parity(ai + bi - 2, bi) for ai, bi in zip(gee.a, b)))
+    term: the product of binomial parities binom(a_i + b_i - 2, b_i).
+
+    Since |B + profile| = k, the suffix condition (every suffix of length j
+    sums to at most j) is the prefix condition: every prefix of length j
+    sums to at least j.  The walk picks b_j from the least value keeping
+    the prefix through block j at least j up to the remaining budget; at
+    the last block that least value is the whole budget.  When the profile
+    itself meets the suffix condition, every such prefix extends to an
+    admissible B, so no branch dies; otherwise no B is admissible at all.
+    """
+    if not is_subgee_profile(profile):
+        return
+
+    def extend(head: Profile, prefix: int, budget: int) -> Iterator[tuple[Profile, int]]:
+        j = len(head)
+        if j == gee.k:
+            yield head, int(all(binom_parity(ai + bi - 2, bi) for ai, bi in zip(gee.a, head)))
+            return
+        for b in range(max(0, j + 1 - prefix - profile[j]), budget + 1):
+            yield from extend((*head, b), prefix + profile[j] + b, budget - b)
+
+    yield from extend((), 0, gee.k - sum(profile))
 
 
 @lru_cache(maxsize=None)
 def _profile_sum(gee: GeeParams, profile: Profile) -> int:
-    """Mod-2 sum of the summand terms for this profile."""
-    return sum(term for _, term in _summands(gee, profile)) & 1
+    """Mod-2 sum of the summand terms for this profile, by a transfer DP.
+
+    Going from the last block back, `odd` has bit s set when the suffix sum
+    s of B + profile over the blocks seen so far is reached by an odd number
+    of choices of b_i with odd weight binom(a_i + b_i - 2, b_i).  Block i
+    moves s to s + profile_i + b_i, and states above the suffix length j are
+    dropped.  The value is bit k after all k blocks, which forces
+    |B| = k - |profile|; profiles with |profile| > k give 0.  Each block
+    costs O(k) parities and XORs of (k+1)-bit masks: O(k^3) bit operations.
+    """
+    odd = 1
+    for j, (a, t) in enumerate(zip(reversed(gee.a), reversed(profile)), start=1):
+        reached = 0
+        for b in range(j - t + 1):
+            if binom_parity(a + b - 2, b):
+                reached ^= odd << (t + b)
+        odd = reached & ((1 << (j + 1)) - 1)
+    return odd >> gee.k & 1
 
 
 def pairing_set(gee: GeeParams, subscripts: IndexSet) -> int:

@@ -3,13 +3,17 @@
 Everything here works on plain tuples/frozensets and deliberately avoids the
 library's algorithms: domination is decided by trying every injection,
 genetic codes by pairwise maximality over all subsets, binomials by exact
-falling factorials.
+falling factorials.  The duality sum is kept in its defining form, built
+from the library's primitives: every composition of the right size,
+filtered by the suffix condition.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
 from math import factorial
+
+from polyphi.combinatorics import binom_parity, compositions, is_subgee_profile
 
 
 def exact_binomial(m: int, r: int) -> int:
@@ -110,3 +114,18 @@ def brute_subgees(increments) -> list[tuple[int, ...]]:
             found.append(subset)
     found.sort(key=lambda s: (len(s), s))
     return found
+
+
+def summands_by_enumeration(gee, profile) -> list[tuple[tuple[int, ...], int]]:
+    """The admissible complementary profiles B with their terms, found by
+    listing every composition of k - |profile| and filtering."""
+    return [
+        (b, int(all(binom_parity(ai + bi - 2, bi) for ai, bi in zip(gee.a, b))))
+        for b in compositions(gee.k - sum(profile), gee.k)
+        if is_subgee_profile(tuple(x + y for x, y in zip(b, profile)))
+    ]
+
+
+def profile_sum_by_enumeration(gee, profile) -> int:
+    """Mod-2 sum of the terms of `summands_by_enumeration`."""
+    return sum(term for _, term in summands_by_enumeration(gee, profile)) & 1

@@ -204,6 +204,13 @@ def test_table_size_guard(capsys):
     assert "max_basis" in err
 
 
+def test_table_guard_counts_rows_not_block_fillings(capsys):
+    # prod(a_i + 1) is 132651 here, but only 14 profiles are subgee profiles.
+    code, out, _ = run(capsys, "table", "--a", "50,50,50", "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)["rows"]) == 14
+
+
 # --------------------------------------------------------------------- verify
 
 def test_verify_all_relations(capsys):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -25,7 +26,12 @@ from polyphi import (
 )
 from polyphi.errors import InfeasibleProfileError
 
-from brute import brute_subgees, theta_of
+from brute import (
+    brute_subgees,
+    profile_sum_by_enumeration,
+    summands_by_enumeration,
+    theta_of,
+)
 
 
 def all_profiles(k: int, cap: int):
@@ -137,6 +143,47 @@ def test_pairing_by_profile_infeasible():
 def test_pairing_by_profile_bad_length():
     with pytest.raises(ValueError):
         pairing_by_profile(GeeParams((2, 2)), (1, 0, 0))
+
+
+# ------------------------------------------- transfer DP against enumeration
+
+def block_fitting_cases(max_k: int, max_a: int):
+    """Every gee with k <= max_k and a_i <= max_a, with every profile that
+    fits its blocks, subgee profile or not (|profile| > k included)."""
+    for k in range(max_k + 1):
+        for a in product(range(1, max_a + 1), repeat=k):
+            gee = GeeParams(a)
+            for profile in product(*(range(x + 1) for x in a)):
+                yield gee, profile
+
+
+def test_transfer_dp_and_pruned_summands_match_enumeration():
+    # One enumeration per case serves both checks: it dominates the cost.
+    for gee, profile in block_fitting_cases(5, 3):
+        expected = summands_by_enumeration(gee, profile)
+        assert admissible_summands(gee, profile) == expected, (gee.a, profile)
+        value = sum(term for _, term in expected) & 1
+        assert pairing_by_profile(gee, profile) == value, (gee.a, profile)
+
+
+def catalan_is_odd(k: int) -> int:
+    return int(((k + 1) & k) == 0)
+
+
+def test_zero_profile_of_twos_is_catalan_parity():
+    # With a = (2,)*k every term binom(b, b) is 1, so the value at the zero
+    # profile counts the admissible B: the Catalan number C_k.
+    for k in range(12):
+        gee, zero = GeeParams((2,) * k), (0,) * k
+        assert len(admissible_summands(gee, zero)) == comb(2 * k, k) // (k + 1)
+        assert pairing_by_profile(gee, zero) == profile_sum_by_enumeration(gee, zero)
+        assert pairing_by_profile(gee, zero) == catalan_is_odd(k), k
+
+
+@pytest.mark.parametrize("k", [63, 127, 200])
+def test_zero_profile_of_twos_at_large_k(k):
+    # Enumeration would list C(2k-1, k-1) compositions here.
+    assert pairing_by_profile(GeeParams((2,) * k), (0,) * k) == catalan_is_odd(k)
 
 
 # -------------------------------------------------------------- closed forms
