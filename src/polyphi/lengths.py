@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import lcm
 
 from .combinatorics import GeeParams, IndexSet, subgee_profiles
@@ -36,7 +36,8 @@ __all__ = [
     "realize_gee",
 ]
 
-# Subset enumeration is exponential; refuse beyond this many sides by default.
+# The number of genes can grow exponentially in n; refuse beyond this many
+# sides by default.
 DEFAULT_MAX_N = 30
 
 
@@ -152,12 +153,22 @@ def _subset_sums(values: Iterable[int]) -> set[int]:
 def genetic_code(lengths: LengthVector, *, max_n: int = DEFAULT_MAX_N) -> GeneticCode:
     """All maximal short subsets containing n, ordered by (size desc, lex).
 
-    Walks every subset of {1..n-1} in Gray-code order with an incremental
-    sum.  A short set S (containing n) is maximal iff every one-step
-    enlargement in the domination order is long; it suffices to test
-    adding the smallest absent element and bumping each member up by one,
-    because shortness is downward closed and any strict domination factors
-    through such a step.
+    A short set S (containing n) is maximal iff every one-step enlargement
+    in the domination order is long: adding an absent element, or moving a
+    member i up to an absent i+1 (n itself never moves).  Shortness is
+    downward closed and any strict domination factors through such steps.
+
+    The sets are found by a depth-first search that decides the members
+    n-1, n-2, ..., 1 in turn, on an explicit stack.  A node carries the
+    running sum, the mask of the members taken so far and the cost of the
+    cheapest enlargement already fixed by the decided positions: leaving
+    out i fixes adding i, and taking i when i+1 is absent fixes moving i
+    to i+1.  A branch is cut when taking i would make the set long, or when
+    even taking every undecided element would leave the cheapest fixed
+    enlargement short, since then no completion is maximal.  At a leaf every
+    enlargement is fixed, so the surviving leaves are exactly the genes.  In
+    practice the nodes visited grow with the number of genes rather than
+    with 2^(n-1): a few dozen per gene on random vectors with n = 20.
     """
     n = lengths.n
     if n > max_n:
@@ -169,32 +180,24 @@ def genetic_code(lengths: LengthVector, *, max_n: int = DEFAULT_MAX_N) -> Geneti
     if 2 * ints[-1] > total:
         raise EmptySpaceError(f"{{{n}}} is long, the moduli space is empty")
 
-    m = n - 1
+    below = [0, *accumulate(ints[:-1])]  # below[j]: the sum of the j shortest sides
     genes: list[IndexSet] = []
-    mask = 0
-    cur = ints[-1]
-    for step in range(1 << m):
-        if step:
-            b = (step & -step).bit_length() - 1
-            mask ^= 1 << b
-            cur += ints[b] if (mask >> b) & 1 else -ints[b]
-        if 2 * cur >= total:
+    # (undecided count j, sum, members mask, cheapest fixed enlargement);
+    # `total` stands for "no enlargement fixed yet", as it can never be short.
+    stack = [(n - 1, ints[-1], 1 << (n - 1), total)]
+    while stack:
+        j, cur, mask, cheapest = stack.pop()
+        if 2 * (cur + below[j] + cheapest) < total:
             continue
-        add = (~mask & (mask + 1)).bit_length() - 1
-        if add < m and 2 * (cur + ints[add]) < total:
+        if not j:
+            genes.append(IndexSet.from_mask(mask))
             continue
-        bits = mask
-        maximal = True
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            idx = low.bit_length() - 1
-            if idx + 1 < m and not (mask >> (idx + 1)) & 1:
-                if 2 * (cur - ints[idx] + ints[idx + 1]) < total:
-                    maximal = False
-                    break
-        if maximal:
-            genes.append(IndexSet([*(i + 1 for i in range(m) if (mask >> i) & 1), n]))
+        i = j - 1
+        stack.append((i, cur, mask, min(cheapest, ints[i])))
+        if 2 * (cur + ints[i]) < total:
+            if not (mask >> j) & 1:
+                cheapest = min(cheapest, ints[j] - ints[i])
+            stack.append((i, cur + ints[i], mask | 1 << i, cheapest))
 
     genes.sort(key=lambda g: (-len(g), g.elements))
     return GeneticCode(tuple(genes), n)
@@ -250,8 +253,10 @@ def realize_gee(gee: GeeParams, search_bound: int = 40) -> LengthVector:
     side count n runs from max(3, span+1) up to a window of k+2 beyond that
     minimum (larger n only helps when the gene needs more slack below it),
     and sorted positive integer vectors for that (total, n) are tried in
-    lexicographic order.  The first vector whose genetic code round-trips
-    to the requested gene wins, so results are deterministic.
+    lexicographic order.  A candidate on which the gene is not short is
+    skipped before its genetic code is computed.  The first vector whose
+    genetic code round-trips to the requested gene wins, so results are
+    deterministic.
 
     Raises RealizationNotFoundError when no candidate with total length
     <= search_bound realizes the code.
@@ -262,8 +267,12 @@ def realize_gee(gee: GeeParams, search_bound: int = 40) -> LengthVector:
     n_max = n_min + gee.k + 2
     for total in range(n_min, search_bound + 1):
         for n in range(n_min, min(n_max, total) + 1):
-            target = GeneticCode((IndexSet([*gee.gee(), n]),), n)
+            gene = IndexSet([*gee.gee(), n])
+            target = GeneticCode((gene,), n)
             for parts in _ascending_tuples(n, total):
+                # A long (or, on a tie, non-generic) gene rules the candidate out.
+                if 2 * sum(parts[j - 1] for j in gene) >= total:
+                    continue
                 candidate = LengthVector(tuple(Fraction(p) for p in parts))
                 try:
                     code = genetic_code(candidate)

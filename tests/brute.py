@@ -5,7 +5,8 @@ library's algorithms: domination is decided by trying every injection,
 genetic codes by pairwise maximality over all subsets, binomials by exact
 falling factorials.  The duality sum is kept in its defining form, built
 from the library's primitives: every composition of the right size,
-filtered by the suffix condition.
+filtered by the suffix condition.  A Gray-code walk over all subsets is a
+second genetic-code oracle, exhaustive where `genetic_code` prunes.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from __future__ import annotations
 from itertools import combinations, permutations
 from math import factorial
 
-from polyphi.combinatorics import binom_parity, compositions, is_subgee_profile
+from polyphi.combinatorics import IndexSet, binom_parity, compositions, is_subgee_profile
+from polyphi.errors import EmptySpaceError, NotGenericError
+from polyphi.lengths import GeneticCode, is_generic
 
 
 def exact_binomial(m: int, r: int) -> int:
@@ -129,3 +132,53 @@ def summands_by_enumeration(gee, profile) -> list[tuple[tuple[int, ...], int]]:
 def profile_sum_by_enumeration(gee, profile) -> int:
     """Mod-2 sum of the terms of `summands_by_enumeration`."""
     return sum(term for _, term in summands_by_enumeration(gee, profile)) & 1
+
+
+def genetic_code_by_gray_walk(lengths) -> GeneticCode:
+    """All maximal short subsets containing n, ordered by (size desc, lex).
+
+    Walks every subset of {1..n-1} in Gray-code order with an incremental
+    sum.  A short set S (containing n) is maximal iff every one-step
+    enlargement in the domination order is long; it suffices to test
+    adding the smallest absent element and bumping each member up by one,
+    because shortness is downward closed and any strict domination factors
+    through such a step.  Raises as `genetic_code` does on non-generic
+    lengths and empty spaces; it has no size guard.
+    """
+    n = lengths.n
+    if not is_generic(lengths):
+        raise NotGenericError("length vector is not generic")
+    ints = lengths.scaled()
+    total = sum(ints)
+    if 2 * ints[-1] > total:
+        raise EmptySpaceError(f"{{{n}}} is long, the moduli space is empty")
+
+    m = n - 1
+    genes: list[IndexSet] = []
+    mask = 0
+    cur = ints[-1]
+    for step in range(1 << m):
+        if step:
+            b = (step & -step).bit_length() - 1
+            mask ^= 1 << b
+            cur += ints[b] if (mask >> b) & 1 else -ints[b]
+        if 2 * cur >= total:
+            continue
+        add = (~mask & (mask + 1)).bit_length() - 1
+        if add < m and 2 * (cur + ints[add]) < total:
+            continue
+        bits = mask
+        maximal = True
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            idx = low.bit_length() - 1
+            if idx + 1 < m and not (mask >> (idx + 1)) & 1:
+                if 2 * (cur - ints[idx] + ints[idx + 1]) < total:
+                    maximal = False
+                    break
+        if maximal:
+            genes.append(IndexSet([*(i + 1 for i in range(m) if (mask >> i) & 1), n]))
+
+    genes.sort(key=lambda g: (-len(g), g.elements))
+    return GeneticCode(tuple(genes), n)

@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from polyphi import (
     GeeParams,
@@ -36,7 +36,12 @@ from polyphi.errors import (
     TooFewSidesError,
 )
 
-from brute import brute_genetic_code, brute_is_generic, brute_subgees
+from brute import (
+    brute_genetic_code,
+    brute_is_generic,
+    brute_subgees,
+    genetic_code_by_gray_walk,
+)
 
 
 def code_tuples(code: GeneticCode) -> list[tuple[int, ...]]:
@@ -231,6 +236,72 @@ def test_code_soundness_completeness_incomparability():
         for g1, g2 in combinations(genes, 2):
             assert not set_leq(g1, g2) and not set_leq(g2, g1)
     assert checked >= 20
+
+
+def _outcome(fn, lv):
+    """The code `fn` returns, or the type and message of what it raises."""
+    try:
+        return fn(lv)
+    except (NotGenericError, EmptySpaceError) as exc:
+        return type(exc), str(exc)
+
+
+def _odd_total(raw):
+    """`raw` with its last entry raised by one if needed to make the total odd.
+
+    No subset of an odd total sums to half of it, so the vector is generic.
+    """
+    return raw if sum(raw) % 2 else raw[:-1] + [raw[-1] + 1]
+
+
+def test_pruned_search_matches_gray_walk():
+    rng = random.Random(20261018)
+    vectors = []
+    for n in range(3, 17):
+        for _ in range(3):
+            plain = _odd_total([rng.randint(1, 10 ** rng.randint(1, 6)) for _ in range(n)])
+            vectors.append(plain)
+            vectors.append([2 * x for x in plain])
+            vectors.append([Fraction(2, 3) * x for x in plain])
+            # equal lengths make moves to the next side cost nothing
+            vectors.append(_odd_total([rng.choice((1, 2, 3, 5)) for _ in range(n)]))
+            vectors.append([rng.randint(1, 12) for _ in range(n)])
+    vectors.append(_odd_total([rng.randint(1, 10**6) for _ in range(18)]))
+    kinds = set()
+    for raw in vectors:
+        lv = normalize(raw)
+        expected = _outcome(genetic_code_by_gray_walk, lv)
+        assert _outcome(genetic_code, lv) == expected, raw
+        kinds.add(expected[0] if isinstance(expected, tuple) else GeneticCode)
+    assert kinds == {GeneticCode, NotGenericError, EmptySpaceError}
+
+
+@st.composite
+def generic_nonempty_vectors(draw):
+    raw = draw(st.lists(st.integers(min_value=1, max_value=60), min_size=3, max_size=12))
+    lv = normalize(_odd_total(raw))
+    ints = lv.scaled()
+    assume(2 * ints[-1] < sum(ints))
+    return lv
+
+
+@given(generic_nonempty_vectors())
+@settings(max_examples=150, deadline=None)
+def test_genes_are_short_maximal_and_incomparable(lv):
+    n = lv.n
+    genes = genetic_code(lv).genes
+    assert genes
+    for g in genes:
+        assert n in g and is_short(lv, g)
+        absent = [j for j in range(1, n) if j not in g]
+        enlargements = [IndexSet([*g, j]) for j in absent]
+        enlargements += [
+            IndexSet([*(e for e in g if e != i), i + 1]) for i in g if i + 1 in absent
+        ]
+        for bigger in enlargements:
+            assert not is_short(lv, bigger), (g, bigger)
+    for g1, g2 in combinations(genes, 2):
+        assert not set_leq(g1, g2) and not set_leq(g2, g1)
 
 
 # ------------------------------------------------------------- monogenic_gee
