@@ -116,7 +116,7 @@ def _cmd_phi(args: argparse.Namespace) -> tuple[int, dict]:
 def _cmd_table(args: argparse.Namespace) -> tuple[int, dict]:
     gee = _parse_gee(args.a)
     # Listing stops one row past the limit: the full count can be exponential in k.
-    profiles = list(islice(subgee_profiles(gee), args.max_basis + 1))
+    profiles = list(islice(subgee_profiles(gee), max(args.max_basis + 1, 0)))
     if len(profiles) > args.max_basis:
         raise SizeLimitError(f"table has more than max_basis={args.max_basis} rows")
     return 0, {
@@ -153,7 +153,7 @@ def _cmd_oracle(args: argparse.Namespace) -> tuple[int, dict]:
                 "formula": report.formula[c],
                 "oracle": report.oracle[c] if report.oracle is not None else None,
             }
-            for c in sorted(report.formula, key=lambda s: (len(s.elements), s.elements))
+            for c in report.formula
         ]
     return (0 if report.agree else 1), payload
 

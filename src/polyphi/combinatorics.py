@@ -205,13 +205,40 @@ def compositions(total: int, k: int) -> Iterator[Profile]:
             yield (first, *rest)
 
 
+def suffix_fillings(base: Profile, caps: Profile, budget: int) -> Iterator[Profile]:
+    """The tuples x with 0 <= x_i <= caps_i summing to `budget` for which
+    base + x meets the suffix condition, in lexicographic order.
+
+    With k = len(base) and T = |base| + budget, every suffix of length j of
+    base + x sums to at most j exactly when T <= k and every prefix of
+    length i sums to at least i - (k - T).  The walk picks x_i from the
+    least value keeping the prefix through position i at that bound up to
+    min(caps_i, remaining budget); at the last position the least value is
+    the whole remaining budget.  No branch dies when base meets the suffix
+    condition, T <= k and every cap is positive or the budget is 0, so the
+    walk then takes O(k) steps per yielded tuple.
+    """
+    slack = len(base) - sum(base) - budget
+    if budget >= 0 and slack >= 0:
+        yield from _fill((), base, caps, budget, slack)
+
+
+def _fill(head: Profile, base: Profile, caps: Profile, budget: int, lead: int) -> Iterator[Profile]:
+    # lead: how far the prefix through head exceeds its bound.
+    j = len(head)
+    if j == len(base):
+        yield head
+        return
+    for x in range(max(0, 1 - lead - base[j]), min(caps[j], budget) + 1):
+        yield from _fill((*head, x), base, caps, budget - x, lead + base[j] + x - 1)
+
+
 def subgee_profiles(gee: GeeParams) -> Iterator[Profile]:
     """The block profiles of the subgees of `gee`, in (size, lex) order.
 
     These are the profiles that fit their blocks (c_i <= a_i) and satisfy
     the suffix condition of `is_subgee_profile`.
     """
+    zero = (0,) * gee.k
     for r in range(gee.k + 1):
-        for profile in compositions(r, gee.k):
-            if is_subgee_profile(profile) and all(c <= a for c, a in zip(profile, gee.a)):
-                yield profile
+        yield from suffix_fillings(zero, gee.a, r)

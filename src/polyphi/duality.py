@@ -30,6 +30,7 @@ from .combinatorics import (
     binom_parity,
     block_counts,
     is_subgee_profile,
+    suffix_fillings,
 )
 from .errors import InfeasibleProfileError
 
@@ -77,26 +78,14 @@ def _summands(gee: GeeParams, profile: Profile) -> Iterator[tuple[Profile, int]]
     satisfying the suffix condition, in lexicographic order, each with its
     term: the product of binomial parities binom(a_i + b_i - 2, b_i).
 
-    Since |B + profile| = k, the suffix condition (every suffix of length j
-    sums to at most j) is the prefix condition: every prefix of length j
-    sums to at least j.  The walk picks b_j from the least value keeping
-    the prefix through block j at least j up to the remaining budget; at
-    the last block that least value is the whole budget.  When the profile
-    itself meets the suffix condition, every such prefix extends to an
-    admissible B, so no branch dies; otherwise no B is admissible at all.
+    When the profile fails the suffix condition no B is admissible, so the
+    walk is skipped; otherwise none of its branches dies.
     """
     if not is_subgee_profile(profile):
         return
-
-    def extend(head: Profile, prefix: int, budget: int) -> Iterator[tuple[Profile, int]]:
-        j = len(head)
-        if j == gee.k:
-            yield head, int(all(binom_parity(ai + bi - 2, bi) for ai, bi in zip(gee.a, head)))
-            return
-        for b in range(max(0, j + 1 - prefix - profile[j]), budget + 1):
-            yield from extend((*head, b), prefix + profile[j] + b, budget - b)
-
-    yield from extend((), 0, gee.k - sum(profile))
+    budget = gee.k - sum(profile)
+    for b in suffix_fillings(profile, (budget,) * gee.k, budget):
+        yield b, int(all(binom_parity(ai + bi - 2, bi) for ai, bi in zip(gee.a, b)))
 
 
 @lru_cache(maxsize=None)

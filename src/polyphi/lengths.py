@@ -9,10 +9,10 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations, product
+from itertools import accumulate
 from math import lcm
 
-from .combinatorics import GeeParams, IndexSet, subgee_profiles
+from .combinatorics import GeeParams, IndexSet
 from .errors import (
     EmptySpaceError,
     InvalidLengthError,
@@ -218,21 +218,21 @@ def monogenic_gee(code: GeneticCode) -> GeeParams:
 def enumerate_subgees(gee: GeeParams) -> Iterator[IndexSet]:
     """All subgees of the gee, including the empty set, in (size, lex) order.
 
-    A subset of {1..span} is a subgee exactly when its block profile
-    satisfies the suffix condition, so enumeration goes profile by profile,
-    choosing each block's members independently.
+    A set s_1 < ... < s_r is a subgee of g_1 < ... < g_k exactly when r <= k
+    and s_i <= g_{k-r+i}, so each size is walked in lex order, picking s_i
+    above s_{i-1} up to its bound.  Bounds increase, so no branch dies.
     """
-    prefix = (0, *gee.prefix_sums)
-    found: list[IndexSet] = []
-    for profile in subgee_profiles(gee):
-        block_choices = [
-            combinations(range(prefix[i] + 1, prefix[i + 1] + 1), profile[i])
-            for i in range(gee.k)
-        ]
-        for picks in product(*block_choices):
-            found.append(IndexSet(j for block in picks for j in block))
-    found.sort(key=lambda s: (len(s.elements), s.elements))
-    yield from found
+    for r in range(gee.k + 1):
+        yield from map(IndexSet, _dominated((), gee.prefix_sums[gee.k - r:]))
+
+
+def _dominated(head: tuple[int, ...], bounds: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    i = len(head)
+    if i == len(bounds):
+        yield head
+        return
+    for s in range(head[-1] + 1 if head else 1, bounds[i] + 1):
+        yield from _dominated((*head, s), bounds)
 
 
 def _ascending_tuples(parts: int, total: int, lo: int = 1) -> Iterator[tuple[int, ...]]:

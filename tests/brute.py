@@ -5,13 +5,15 @@ library's algorithms: domination is decided by trying every injection,
 genetic codes by pairwise maximality over all subsets, binomials by exact
 falling factorials.  The duality sum is kept in its defining form, built
 from the library's primitives: every composition of the right size,
-filtered by the suffix condition.  A Gray-code walk over all subsets is a
-second genetic-code oracle, exhaustive where `genetic_code` prunes.
+filtered by the suffix condition.  Subgee profiles are listed by the same
+filter, and subgees are expanded from them block by block and then sorted.
+A Gray-code walk over all subsets is a second genetic-code oracle,
+exhaustive where `genetic_code` prunes.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import factorial
 
 from polyphi.combinatorics import IndexSet, binom_parity, compositions, is_subgee_profile
@@ -116,6 +118,35 @@ def brute_subgees(increments) -> list[tuple[int, ...]]:
         if brute_set_leq(subset, gee):
             found.append(subset)
     found.sort(key=lambda s: (len(s), s))
+    return found
+
+
+def subgee_profiles_by_filter(gee) -> list[tuple[int, ...]]:
+    """The block profiles of the subgees in (size, lex) order, found by
+    listing every composition of each size and keeping those that fit
+    their blocks and meet the suffix condition."""
+    return [
+        profile
+        for r in range(gee.k + 1)
+        for profile in compositions(r, gee.k)
+        if is_subgee_profile(profile) and all(c <= a for c, a in zip(profile, gee.a))
+    ]
+
+
+def subgees_by_profile(gee) -> list[IndexSet]:
+    """All subgees in (size, lex) order: each profile of
+    `subgee_profiles_by_filter` expanded by choosing every block's members
+    independently, then the whole list sorted."""
+    prefix = (0, *gee.prefix_sums)
+    found = []
+    for profile in subgee_profiles_by_filter(gee):
+        block_choices = [
+            combinations(range(prefix[i] + 1, prefix[i + 1] + 1), profile[i])
+            for i in range(gee.k)
+        ]
+        for picks in product(*block_choices):
+            found.append(IndexSet(j for block in picks for j in block))
+    found.sort(key=lambda s: (len(s.elements), s.elements))
     return found
 
 

@@ -204,6 +204,13 @@ def test_table_size_guard(capsys):
     assert "max_basis" in err
 
 
+def test_table_negative_max_basis_is_refused_by_the_guard(capsys):
+    code, out, err = run(capsys, "table", "--a", "2,2", "--max-basis", "-5")
+    assert code == 2
+    assert out == ""
+    assert err == "error: table has more than max_basis=-5 rows\n"
+
+
 def test_table_guard_counts_rows_not_block_fillings(capsys):
     # prod(a_i + 1) is 132651 here, but only 14 profiles are subgee profiles.
     code, out, _ = run(capsys, "table", "--a", "50,50,50", "--format", "json")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -16,10 +16,11 @@ from polyphi import (
     compositions,
     is_subgee_profile,
     set_leq,
+    subgee_profiles,
 )
 from polyphi.errors import OutOfRangeError
 
-from brute import brute_set_leq, exact_binomial
+from brute import brute_set_leq, exact_binomial, subgee_profiles_by_filter
 
 
 # ---------------------------------------------------------------- IndexSet
@@ -233,3 +234,13 @@ def test_compositions_complete_sorted_unique(total, k):
     assert all(sum(t) == total and len(t) == k and min(t, default=0) >= 0 for t in out)
     expected = comb(total + k - 1, k - 1) if k > 0 else (1 if total == 0 else 0)
     assert len(out) == expected
+
+
+# --------------------------------------------------------- subgee_profiles
+
+def test_subgee_profiles_match_filter():
+    gees = [a for k in range(6) for a in product(range(1, 4), repeat=k)]
+    gees += [(1, 2, 1, 2, 1, 2, 1), (3,) * 7, (2, 1, 3, 1, 1, 3, 2, 1), (1,) * 8]
+    for a in gees:
+        gee = GeeParams(a)
+        assert list(subgee_profiles(gee)) == subgee_profiles_by_filter(gee), a

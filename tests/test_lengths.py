@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -41,6 +41,7 @@ from brute import (
     brute_is_generic,
     brute_subgees,
     genetic_code_by_gray_walk,
+    subgees_by_profile,
 )
 
 
@@ -346,11 +347,23 @@ def test_enumerate_subgees_examples(a, expected):
 
 
 @pytest.mark.parametrize(
-    "a", [(2,), (3,), (1, 1), (2, 1), (1, 2), (2, 2), (2, 3, 1), (1, 1, 1, 1)]
+    "a",
+    [
+        (2,), (3,), (1, 1), (2, 1), (1, 2), (2, 2), (2, 3, 1), (1, 1, 1, 1),
+        (4, 4), (2, 3, 3), (2, 2, 2, 2), (1, 2, 1, 2, 2), (3, 3, 3), (5, 4), (3, 2, 1, 2, 1),
+    ],
 )
 def test_enumerate_subgees_matches_brute_force(a):
     got = [s.elements for s in enumerate_subgees(GeeParams(a))]
     assert got == brute_subgees(a)
+
+
+def test_enumerate_subgees_matches_profile_construction():
+    gees = [a for k in range(5) for a in product(range(1, 5), repeat=k)]
+    gees += [(3, 3, 3, 3, 3), (12, 12, 12), (2,) * 7]
+    for a in gees:
+        gee = GeeParams(a)
+        assert list(enumerate_subgees(gee)) == subgees_by_profile(gee), a
 
 
 def test_enumerate_subgees_order_is_size_then_lex():
