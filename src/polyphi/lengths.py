@@ -246,6 +246,24 @@ def _ascending_tuples(parts: int, total: int, lo: int = 1) -> Iterator[tuple[int
             yield (v, *rest)
 
 
+def _least_undominated(gee: GeeParams, n: int) -> list[tuple[int, ...]]:
+    """The least subsets of {1..n-1} that the gee does not dominate.
+
+    A set s_1 < ... < s_r escapes g_1 < ... < g_k when r > k, and then it
+    dominates {1, ..., k+1}; or when some s_j > g_{k-r+j}, and then it
+    dominates the set that runs 1, ..., j-1 and climbs by ones from
+    g_{k-r+j}+1.  So every undominated set dominates one of these O(k^2)
+    sets; the ones whose top exceeds n-1 do not occur.
+    """
+    k, g = gee.k, gee.prefix_sums
+    sets = [tuple(range(1, k + 2))]
+    for r in range(1, k + 1):
+        for j in range(1, r + 1):
+            lo = g[k - r + j - 1] + 1
+            sets.append((*range(1, j), *range(lo, lo + r - j + 1)))
+    return [s for s in sets if s[-1] <= n - 1]
+
+
 def realize_gee(gee: GeeParams, search_bound: int = 40) -> LengthVector:
     """Search for an integer length vector whose genetic code is the single gene.
 
@@ -253,10 +271,18 @@ def realize_gee(gee: GeeParams, search_bound: int = 40) -> LengthVector:
     side count n runs from max(3, span+1) up to a window of k+2 beyond that
     minimum (larger n only helps when the gene needs more slack below it),
     and sorted positive integer vectors for that (total, n) are tried in
-    lexicographic order.  A candidate on which the gene is not short is
-    skipped before its genetic code is computed.  The first vector whose
-    genetic code round-trips to the requested gene wins, so results are
-    deterministic.
+    lexicographic order.  The first vector whose genetic code round-trips
+    to the requested gene wins, so results are deterministic.
+
+    A vector has the single gene G = gee + {n} exactly when the short sets
+    containing n are the sets G dominates: G is short, and S + {n} is long
+    for every S in {1..n-1} the gee does not dominate.  Shortness only falls
+    down the domination order, so it is enough that S + {n} is long for the
+    least such S (`_least_undominated`, listed once per n).  Both tests are
+    strict, so no set sums to half the total and the vector is generic.  A
+    candidate failing either test is skipped before any Fraction is built,
+    and one passing both has the requested code, so `genetic_code`, which
+    still confirms the winner, runs once per successful search.
 
     Raises RealizationNotFoundError when no candidate with total length
     <= search_bound realizes the code.
@@ -265,13 +291,18 @@ def realize_gee(gee: GeeParams, search_bound: int = 40) -> LengthVector:
         raise ValueError(f"search bound must be positive, got {search_bound}")
     n_min = max(3, gee.span + 1)
     n_max = n_min + gee.k + 2
+    escapes = {n: [(*s, n) for s in _least_undominated(gee, n)] for n in range(n_min, n_max + 1)}
     for total in range(n_min, search_bound + 1):
         for n in range(n_min, min(n_max, total) + 1):
             gene = IndexSet([*gee.gee(), n])
             target = GeneticCode((gene,), n)
             for parts in _ascending_tuples(n, total):
-                # A long (or, on a tie, non-generic) gene rules the candidate out.
-                if 2 * sum(parts[j - 1] for j in gene) >= total:
+                # A long (or, on a tie, non-generic) gene rules the candidate
+                # out, and so does a least undominated set that is short (or
+                # tied) together with n.
+                if 2 * sum(parts[j - 1] for j in gene) >= total or any(
+                    2 * sum(parts[j - 1] for j in s) <= total for s in escapes[n]
+                ):
                     continue
                 candidate = LengthVector(tuple(Fraction(p) for p in parts))
                 try:

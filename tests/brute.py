@@ -8,17 +8,25 @@ from the library's primitives: every composition of the right size,
 filtered by the suffix condition.  Subgee profiles are listed by the same
 filter, and subgees are expanded from them block by block and then sorted.
 A Gray-code walk over all subsets is a second genetic-code oracle,
-exhaustive where `genetic_code` prunes.
+exhaustive where `genetic_code` prunes, and the realize search that computes
+the genetic code of every candidate is the oracle of the pre-filtered one.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial
 
 from polyphi.combinatorics import IndexSet, binom_parity, compositions, is_subgee_profile
-from polyphi.errors import EmptySpaceError, NotGenericError
-from polyphi.lengths import GeneticCode, is_generic
+from polyphi.errors import EmptySpaceError, NotGenericError, RealizationNotFoundError
+from polyphi.lengths import (
+    GeneticCode,
+    LengthVector,
+    _ascending_tuples,
+    genetic_code,
+    is_generic,
+)
 
 
 def exact_binomial(m: int, r: int) -> int:
@@ -213,3 +221,31 @@ def genetic_code_by_gray_walk(lengths) -> GeneticCode:
 
     genes.sort(key=lambda g: (-len(g), g.elements))
     return GeneticCode(tuple(genes), n)
+
+
+def realize_by_genetic_code(gee, search_bound: int) -> LengthVector:
+    """`realize_gee` without its undominated-set filter: every candidate on
+    which the gene is short has its genetic code computed and compared.
+    Same scan order, result and error message."""
+    if search_bound < 1:
+        raise ValueError(f"search bound must be positive, got {search_bound}")
+    n_min = max(3, gee.span + 1)
+    n_max = n_min + gee.k + 2
+    for total in range(n_min, search_bound + 1):
+        for n in range(n_min, min(n_max, total) + 1):
+            gene = IndexSet([*gee.gee(), n])
+            target = GeneticCode((gene,), n)
+            for parts in _ascending_tuples(n, total):
+                # A long (or, on a tie, non-generic) gene rules the candidate out.
+                if 2 * sum(parts[j - 1] for j in gene) >= total:
+                    continue
+                candidate = LengthVector(tuple(Fraction(p) for p in parts))
+                try:
+                    code = genetic_code(candidate)
+                except (NotGenericError, EmptySpaceError):
+                    continue
+                if code == target:
+                    return candidate
+    raise RealizationNotFoundError(
+        f"no integer length vector with total <= {search_bound} realizes gee {gee.a}"
+    )

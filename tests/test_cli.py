@@ -292,6 +292,13 @@ def test_realize_not_found_exits_1(capsys):
     assert "8" in err
 
 
+def test_realize_unrealizable_gee_exits_1_at_default_bound(capsys):
+    code, out, err = run(capsys, "realize", "--a", "2,2,2")
+    assert code == 1
+    assert out == ""
+    assert "40" in err
+
+
 def test_lengths_and_gee_paths_agree(capsys):
     _, out, _ = run(capsys, "realize", "--a", "1,1", "--format", "json")
     lengths = ",".join(json.loads(out)["lengths"])

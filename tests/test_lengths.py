@@ -36,11 +36,15 @@ from polyphi.errors import (
     TooFewSidesError,
 )
 
+from polyphi.lengths import _least_undominated
+
 from brute import (
     brute_genetic_code,
     brute_is_generic,
+    brute_set_leq,
     brute_subgees,
     genetic_code_by_gray_walk,
+    realize_by_genetic_code,
     subgees_by_profile,
 )
 
@@ -402,6 +406,47 @@ def test_realize_not_found_reports_bound():
 def test_realize_rejects_bad_bound():
     with pytest.raises(ValueError):
         realize_gee(GeeParams((1,)), search_bound=0)
+
+
+SMALL_GEES = [a for k in range(4) for a in product(range(1, 4), repeat=k)]
+
+
+def _realized(search, a, bound):
+    try:
+        return search(GeeParams(a), bound).lengths
+    except RealizationNotFoundError as exc:
+        return str(exc)
+
+
+def test_realize_matches_genetic_code_search():
+    cases = [(a, 18) for a in SMALL_GEES] + [((2, 2, 2), 16), ((1, 2, 2, 2), 16)]
+    for a, bound in cases:
+        assert _realized(realize_gee, a, bound) == _realized(realize_by_genetic_code, a, bound), a
+
+
+def test_least_undominated_sets_are_complete():
+    for a in (a for k in range(4) for a in product(range(1, 3), repeat=k)):
+        gee = GeeParams(a)
+        for n in range(gee.span + 1, gee.span + gee.k + 3):
+            least = _least_undominated(gee, n)
+            for s in least:
+                assert s[-1] <= n - 1 and not brute_set_leq(s, gee.prefix_sums), (a, n, s)
+            for r in range(n):
+                for s in combinations(range(1, n), r):
+                    if not brute_set_leq(s, gee.prefix_sums):
+                        assert any(brute_set_leq(t, s) for t in least), (a, n, s)
+
+
+def test_realize_computes_one_genetic_code_per_realized_gee(monkeypatch):
+    calls = []
+
+    def counting(lengths, **kwargs):
+        calls.append(lengths)
+        return genetic_code(lengths, **kwargs)
+
+    monkeypatch.setattr("polyphi.lengths.genetic_code", counting)
+    realized = sum(isinstance(_realized(realize_gee, a, 18), tuple) for a in SMALL_GEES)
+    assert realized and len(calls) == realized
 
 
 # ------------------------------------------------------- subgee criterion
