@@ -26,6 +26,7 @@ from .duality import (
 from .errors import PolyphiError, RealizationNotFoundError, SizeLimitError
 from .lengths import (
     DEFAULT_MAX_N,
+    DEFAULT_SEARCH_BOUND,
     LengthVector,
     genetic_code,
     monogenic_gee,
@@ -316,7 +317,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_realize = sub.add_parser("realize", help="search for a length vector with the given single gee")
     p_realize.add_argument("--a", required=True)
-    p_realize.add_argument("--bound", type=int, default=40, help="maximum total integer length to try")
+    p_realize.add_argument(
+        "--bound", type=int, default=DEFAULT_SEARCH_BOUND, help="maximum total integer length to try"
+    )
     _add_format(p_realize)
 
     return parser

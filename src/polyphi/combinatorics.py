@@ -50,6 +50,8 @@ class IndexSet:
     @classmethod
     def from_mask(cls, mask: int) -> IndexSet:
         """Build from a bitmask where bit i-1 encodes membership of i."""
+        if mask < 0:
+            raise ValueError(f"masks are nonnegative, got {mask}")
         return cls(i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1)
 
     @property

@@ -207,11 +207,11 @@ def count_disjoint_subgees(
     if len(m) != gee.k or len(c) != gee.k:
         raise ValueError(f"profiles must have length k={gee.k}")
     for i, (mi, ai) in enumerate(zip(m, gee.a), start=1):
-        if not isinstance(mi, int) or mi < 0:
+        if not isinstance(mi, int) or isinstance(mi, bool) or mi < 0:
             raise ValueError(f"profile entries must be nonnegative integers, got {mi!r}")
         if mi > ai:
             raise InfeasibleProfileError(f"occupied entry {mi} exceeds block {i} size {ai}")
-    if any(not isinstance(ci, int) or ci < 0 for ci in c):
+    if any(not isinstance(ci, int) or isinstance(ci, bool) or ci < 0 for ci in c):
         raise ValueError("profile entries must be nonnegative integers")
     result = 1
     for ai, mi, ci in zip(gee.a, m, c):

@@ -2,6 +2,20 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "PolyphiError",
+    "InvalidLengthError",
+    "TooFewSidesError",
+    "NotGenericError",
+    "OutOfRangeError",
+    "EmptySpaceError",
+    "NotMonogenicError",
+    "RealizationNotFoundError",
+    "SizeLimitError",
+    "InfeasibleProfileError",
+    "NoRelationsError",
+]
+
 
 class PolyphiError(Exception):
     """Base class for all domain errors raised by this package."""
@@ -41,10 +55,6 @@ class SizeLimitError(PolyphiError):
 
 class InfeasibleProfileError(PolyphiError):
     """A block profile entry exceeds the size of its block."""
-
-
-class InvalidRelationIndexError(PolyphiError):
-    """A relation must be indexed by a nonempty subgee."""
 
 
 class NoRelationsError(PolyphiError):

@@ -40,6 +40,9 @@ __all__ = [
 # sides by default.
 DEFAULT_MAX_N = 30
 
+# `realize_gee` tries integer length vectors up to this total by default.
+DEFAULT_SEARCH_BOUND = 40
+
 
 @dataclass(frozen=True)
 class LengthVector:
@@ -95,6 +98,8 @@ def normalize(raw: Iterable[Fraction | int]) -> LengthVector:
     for x in raw:
         if isinstance(x, float):
             raise InvalidLengthError(f"floats are not exact; pass Fraction or int, got {x!r}")
+        if isinstance(x, bool):
+            raise InvalidLengthError(f"booleans are not side lengths, got {x!r}")
         try:
             f = Fraction(x)
         except (TypeError, ValueError) as exc:
@@ -102,8 +107,6 @@ def normalize(raw: Iterable[Fraction | int]) -> LengthVector:
         if f <= 0:
             raise InvalidLengthError(f"side lengths must be positive, got {x!r}")
         values.append(f)
-    if len(values) < 3:
-        raise TooFewSidesError(f"need at least 3 sides, got {len(values)}")
     return LengthVector(tuple(sorted(values)))
 
 
@@ -264,7 +267,7 @@ def _least_undominated(gee: GeeParams, n: int) -> list[tuple[int, ...]]:
     return [s for s in sets if s[-1] <= n - 1]
 
 
-def realize_gee(gee: GeeParams, search_bound: int = 40) -> LengthVector:
+def realize_gee(gee: GeeParams, search_bound: int = DEFAULT_SEARCH_BOUND) -> LengthVector:
     """Search for an integer length vector whose genetic code is the single gene.
 
     Candidates are scanned in increasing total length; for each total, the

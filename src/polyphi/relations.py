@@ -17,13 +17,10 @@ from operator import and_
 from .combinatorics import (
     GeeParams,
     IndexSet,
-    block_counts,
-    is_subgee_profile,
     subgee_profiles,
 )
 from .duality import pairing_set
 from .errors import (
-    InvalidRelationIndexError,
     NoRelationsError,
     SizeLimitError,
 )
@@ -33,7 +30,6 @@ __all__ = [
     "RelationMatrix",
     "DualityReport",
     "subgee_count",
-    "relation_row",
     "build_matrix",
     "nullspace_functional",
     "annihilation_failures",
@@ -86,19 +82,6 @@ def subgee_count(gee: GeeParams) -> int:
         prod(comb(ai, ci) for ai, ci in zip(gee.a, profile))
         for profile in subgee_profiles(gee)
     )
-
-
-def _require_nonempty_subgee(gee: GeeParams, subset: IndexSet) -> None:
-    if not subset:
-        raise InvalidRelationIndexError("relations are indexed by nonempty subgees")
-    if max(subset) > gee.span or not is_subgee_profile(block_counts(subset, gee)):
-        raise InvalidRelationIndexError(f"{subset} is not a subgee of gee {gee.a}")
-
-
-def relation_row(gee: GeeParams, index: IndexSet) -> tuple[IndexSet, ...]:
-    """The subgees appearing in the relation for `index`: those disjoint from it."""
-    _require_nonempty_subgee(gee, index)
-    return tuple(j for j in enumerate_subgees(gee) if j.isdisjoint(index))
 
 
 def build_matrix(gee: GeeParams, *, max_basis: int = DEFAULT_MAX_BASIS) -> RelationMatrix:

@@ -55,6 +55,8 @@ def test_index_set_mask_round_trip():
     assert s.mask == 0b11001
     assert IndexSet.from_mask(s.mask) == s
     assert IndexSet.from_mask(0) == IndexSet()
+    with pytest.raises(ValueError, match="nonnegative"):
+        IndexSet.from_mask(-1)
 
 
 def test_index_set_descending():

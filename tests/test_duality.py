@@ -252,6 +252,10 @@ def test_count_disjoint_errors():
         count_disjoint_subgees(GeeParams((2, 2)), (3, 0), (0, 0))
     with pytest.raises(ValueError):
         count_disjoint_subgees(GeeParams((2, 2)), (1, 0, 0), (0, 0))
+    with pytest.raises(ValueError):
+        count_disjoint_subgees(GeeParams((2, 2)), (True, 0), (0, 1))
+    with pytest.raises(ValueError):
+        count_disjoint_subgees(GeeParams((2, 2)), (0, 0), (0, True))
 
 
 def test_count_disjoint_matches_brute_force_small():

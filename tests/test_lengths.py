@@ -75,6 +75,8 @@ def test_normalize_rejects_nonpositive(raw):
 def test_normalize_rejects_floats():
     with pytest.raises(InvalidLengthError):
         normalize([1.0, 2, 3])
+    with pytest.raises(InvalidLengthError):
+        normalize([True, 1, 1])
 
 
 def test_normalize_rejects_too_few():

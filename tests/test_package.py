@@ -1,0 +1,104 @@
+"""The package's public surface, and its standard-library-only imports."""
+
+from __future__ import annotations
+
+import ast
+import sys
+from pathlib import Path
+
+import polyphi
+from polyphi import cli, combinatorics, duality, errors, lengths, relations
+
+# The modules whose `__all__` the package re-exports.
+EXPORTING = (combinatorics, duality, errors, lengths, relations)
+
+PUBLIC = {
+    # combinatorics
+    "IndexSet",
+    "GeeParams",
+    "Profile",
+    "binom_parity",
+    "set_leq",
+    "block_counts",
+    "is_subgee_profile",
+    "compositions",
+    "subgee_profiles",
+    # duality
+    "TopMonomial",
+    "pairing",
+    "pairing_set",
+    "pairing_by_profile",
+    "closed_form_k3",
+    "count_disjoint_subgees",
+    "admissible_summands",
+    # errors
+    "PolyphiError",
+    "InvalidLengthError",
+    "TooFewSidesError",
+    "NotGenericError",
+    "OutOfRangeError",
+    "EmptySpaceError",
+    "NotMonogenicError",
+    "RealizationNotFoundError",
+    "SizeLimitError",
+    "InfeasibleProfileError",
+    "NoRelationsError",
+    # lengths
+    "LengthVector",
+    "GeneticCode",
+    "normalize",
+    "is_short",
+    "is_generic",
+    "genetic_code",
+    "monogenic_gee",
+    "enumerate_subgees",
+    "realize_gee",
+    # relations
+    "RelationMatrix",
+    "DualityReport",
+    "subgee_count",
+    "build_matrix",
+    "nullspace_functional",
+    "annihilation_failures",
+    "cross_validate",
+    # package
+    "__version__",
+}
+
+
+def test_package_exports_exactly_the_public_names():
+    assert set(polyphi.__all__) == PUBLIC
+    assert len(polyphi.__all__) == len(PUBLIC)
+
+
+def test_star_import_binds_exactly_all():
+    namespace: dict[str, object] = {}
+    exec("from polyphi import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == set(polyphi.__all__)
+
+
+def test_each_export_is_its_defining_modules_object():
+    for name in sorted(PUBLIC - {"__version__"}):
+        homes = [m for m in EXPORTING if name in m.__all__]
+        assert len(homes) == 1, (name, [m.__name__ for m in homes])
+        assert getattr(polyphi, name) is getattr(homes[0], name), name
+
+
+def test_every_module_all_resolves():
+    for module in (*EXPORTING, cli):
+        for name in module.__all__:
+            assert hasattr(module, name), (module.__name__, name)
+
+
+def test_package_imports_only_the_standard_library():
+    for path in sorted(Path(polyphi.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)

@@ -19,35 +19,14 @@ from polyphi import (
     enumerate_subgees,
     is_subgee_profile,
     nullspace_functional,
-    relation_row,
     subgee_count,
 )
 from polyphi.errors import (
-    InvalidRelationIndexError,
     NoRelationsError,
     SizeLimitError,
 )
 
 from brute import brute_subgees
-
-
-# ------------------------------------------------------------- relation_row
-
-def test_relation_row_examples():
-    a2 = GeeParams((2,))
-    assert relation_row(a2, IndexSet([1])) == (IndexSet(), IndexSet([2]))
-    assert relation_row(a2, IndexSet([2])) == (IndexSet(), IndexSet([1]))
-    assert relation_row(GeeParams((1,)), IndexSet([1])) == (IndexSet(),)
-
-
-def test_relation_row_rejects_bad_indices():
-    a2 = GeeParams((2,))
-    with pytest.raises(InvalidRelationIndexError):
-        relation_row(a2, IndexSet())
-    with pytest.raises(InvalidRelationIndexError):
-        relation_row(a2, IndexSet([3]))  # beyond the span
-    with pytest.raises(InvalidRelationIndexError):
-        relation_row(a2, IndexSet([1, 2]))  # profile (2) fails the suffix condition
 
 
 # ------------------------------------------------------------- build_matrix
@@ -97,7 +76,7 @@ def test_build_matrix_deterministic():
     assert build_matrix(a) == build_matrix(a)
 
 
-@pytest.mark.parametrize("a", [(2, 2), (1, 3, 2, 1), (2, 2, 2, 2)])
+@pytest.mark.parametrize("a", [(2, 2), (1, 3, 2, 1), (2, 2, 2, 2), (1,), (2,)])
 def test_build_matrix_bits_match_pairwise_disjointness(a):
     m = build_matrix(GeeParams(a))
     assert m.columns == tuple(enumerate_subgees(GeeParams(a)))
