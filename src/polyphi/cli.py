@@ -43,8 +43,12 @@ from .relations import (
 __all__ = ["main"]
 
 
+def _tokens(text: str) -> list[str]:
+    return [t.strip() for t in text.split(",") if t.strip()]
+
+
 def _parse_lengths(text: str) -> LengthVector:
-    tokens = [t.strip() for t in text.split(",") if t.strip()]
+    tokens = _tokens(text)
     if not tokens:
         raise ValueError("empty length list")
     values = []
@@ -57,13 +61,11 @@ def _parse_lengths(text: str) -> LengthVector:
 
 
 def _parse_gee(text: str) -> GeeParams:
-    tokens = [t.strip() for t in text.split(",") if t.strip()]
-    return GeeParams(tuple(int(t) for t in tokens))
+    return GeeParams(tuple(int(t) for t in _tokens(text)))
 
 
 def _parse_subset(text: str) -> IndexSet:
-    tokens = [t.strip() for t in text.split(",") if t.strip()]
-    return IndexSet(int(t) for t in tokens)
+    return IndexSet(int(t) for t in _tokens(text))
 
 
 def _gee_from_args(args: argparse.Namespace) -> tuple[GeeParams, LengthVector | None]:
@@ -131,7 +133,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
     failures = annihilation_failures(gee, max_basis=args.max_basis)
     return (1 if failures else 0), {
         "a": list(gee.a),
-        "relations": subgee_count(gee) - 1 if gee.k else 0,
+        "relations": subgee_count(gee) - 1,
         "all_annihilated": not failures,
         "failures": [list(f.descending()) for f in failures],
     }

@@ -9,6 +9,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import OutOfRangeError
 
@@ -28,6 +29,14 @@ __all__ = [
 Profile = tuple[int, ...]
 
 
+def check_ints(values: Iterable[object], least: int, what: str) -> None:
+    """Raise ValueError(f"{what}, got {x!r}") for the first x that is not an
+    int of at least `least`; a bool is not a count."""
+    for x in values:
+        if isinstance(x, bool) or not isinstance(x, int) or x < least:
+            raise ValueError(f"{what}, got {x!r}")
+
+
 class IndexSet:
     """A finite set of distinct positive integers, stored sorted ascending.
 
@@ -39,9 +48,7 @@ class IndexSet:
 
     def __init__(self, elements: Iterable[int] = ()) -> None:
         elems = tuple(sorted(elements))
-        for e in elems:
-            if isinstance(e, bool) or not isinstance(e, int) or e < 1:
-                raise ValueError(f"index sets hold positive integers, got {e!r}")
+        check_ints(elems, 1, "index sets hold positive integers")
         for prev, cur in zip(elems, elems[1:]):
             if prev == cur:
                 raise ValueError(f"duplicate element {cur} in index set")
@@ -50,8 +57,7 @@ class IndexSet:
     @classmethod
     def from_mask(cls, mask: int) -> IndexSet:
         """Build from a bitmask where bit i-1 encodes membership of i."""
-        if mask < 0:
-            raise ValueError(f"masks are nonnegative, got {mask}")
+        check_ints((mask,), 0, "masks are nonnegative")
         return cls(i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1)
 
     @property
@@ -101,9 +107,7 @@ class GeeParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "a", tuple(self.a))
-        for x in self.a:
-            if isinstance(x, bool) or not isinstance(x, int) or x < 1:
-                raise ValueError(f"gee increments must be positive integers, got {x!r}")
+        check_ints(self.a, 1, "gee increments must be positive integers")
 
     @property
     def k(self) -> int:
@@ -116,11 +120,7 @@ class GeeParams:
 
     @property
     def prefix_sums(self) -> tuple[int, ...]:
-        sums, acc = [], 0
-        for x in self.a:
-            acc += x
-            sums.append(acc)
-        return tuple(sums)
+        return tuple(accumulate(self.a))
 
     def gee(self) -> IndexSet:
         return IndexSet(self.prefix_sums)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 
 from .combinatorics import (
     GeeParams,
@@ -29,6 +29,7 @@ from .combinatorics import (
     Profile,
     binom_parity,
     block_counts,
+    check_ints,
     is_subgee_profile,
     suffix_fillings,
 )
@@ -149,13 +150,19 @@ def admissible_summands(gee: GeeParams, profile: Iterable[int]) -> list[tuple[Pr
     return list(_summands(gee, _validated_profile(gee, profile)))
 
 
-def _validated_profile(gee: GeeParams, profile: Iterable[int]) -> Profile:
+def _int_profile(gee: GeeParams, profile: Iterable[int]) -> Profile:
+    """The profile as a tuple of k nonnegative ints; entries may exceed their blocks."""
     t = tuple(profile)
     if len(t) != gee.k:
         raise ValueError(f"profile length {len(t)} != k={gee.k}")
+    check_ints(t, 0, "profile entries must be nonnegative integers")
+    return t
+
+
+def _validated_profile(gee: GeeParams, profile: Iterable[int]) -> Profile:
+    """The profile as a tuple of k nonnegative ints that fit their blocks."""
+    t = _int_profile(gee, profile)
     for i, (c, a) in enumerate(zip(t, gee.a), start=1):
-        if not isinstance(c, int) or isinstance(c, bool) or c < 0:
-            raise ValueError(f"profile entries must be nonnegative integers, got {c!r}")
         if c > a:
             raise InfeasibleProfileError(f"profile entry {c} exceeds block {i} size {a}")
     return t
@@ -165,14 +172,13 @@ def closed_form_k3(gee: GeeParams, profile: Iterable[int]) -> int:
     """Closed-form duality value for a three-block gee.
 
     Independent of the general sum: evaluates explicit polynomials in the
-    increments with exact integer arithmetic, then reduces mod 2.  Profiles
-    violating the suffix condition name zero classes and give 0.
+    increments with exact integer arithmetic, then reduces mod 2.  Entries
+    must fit their blocks, as in `pairing_by_profile`; profiles violating
+    the suffix condition name zero classes and give 0.
     """
     if gee.k != 3:
         raise ValueError(f"closed form requires k=3, got k={gee.k}")
-    t = tuple(profile)
-    if len(t) != 3 or any(not isinstance(c, int) or c < 0 for c in t):
-        raise ValueError(f"need a 3-tuple of nonnegative integers, got {t!r}")
+    t = _validated_profile(gee, profile)
     if not is_subgee_profile(t):
         return 0
     if sum(t) == 3:
@@ -198,22 +204,11 @@ def count_disjoint_subgees(
 ) -> int:
     """Exact number of subgees with the given profile avoiding a fixed subgee.
 
-    `occupied` is the block profile of the fixed subgee; each block then has
-    a_i - occupied_i free slots, and the count is the product of binomials
-    comb(a_i - occupied_i, profile_i) as an exact integer.
+    `occupied` is the block profile of the fixed subgee and must fit its
+    blocks; each block then has a_i - occupied_i free slots, and the count
+    is the product of binomials comb(a_i - occupied_i, profile_i) as an
+    exact integer, so a profile that overfills the free slots counts 0.
     """
-    m = tuple(occupied)
-    c = tuple(profile)
-    if len(m) != gee.k or len(c) != gee.k:
-        raise ValueError(f"profiles must have length k={gee.k}")
-    for i, (mi, ai) in enumerate(zip(m, gee.a), start=1):
-        if not isinstance(mi, int) or isinstance(mi, bool) or mi < 0:
-            raise ValueError(f"profile entries must be nonnegative integers, got {mi!r}")
-        if mi > ai:
-            raise InfeasibleProfileError(f"occupied entry {mi} exceeds block {i} size {ai}")
-    if any(not isinstance(ci, int) or isinstance(ci, bool) or ci < 0 for ci in c):
-        raise ValueError("profile entries must be nonnegative integers")
-    result = 1
-    for ai, mi, ci in zip(gee.a, m, c):
-        result *= comb(ai - mi, ci)
-    return result
+    m = _validated_profile(gee, occupied)
+    c = _int_profile(gee, profile)
+    return prod(comb(ai - mi, ci) for ai, mi, ci in zip(gee.a, m, c))

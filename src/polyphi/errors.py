@@ -13,7 +13,6 @@ __all__ = [
     "RealizationNotFoundError",
     "SizeLimitError",
     "InfeasibleProfileError",
-    "NoRelationsError",
 ]
 
 
@@ -55,7 +54,3 @@ class SizeLimitError(PolyphiError):
 
 class InfeasibleProfileError(PolyphiError):
     """A block profile entry exceeds the size of its block."""
-
-
-class NoRelationsError(PolyphiError):
-    """An empty gee admits no relations; the basis is one-dimensional."""

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 
-from .combinatorics import GeeParams, IndexSet
+from .combinatorics import GeeParams, IndexSet, check_ints
 from .errors import (
     EmptySpaceError,
     InvalidLengthError,
@@ -290,8 +290,7 @@ def realize_gee(gee: GeeParams, search_bound: int = DEFAULT_SEARCH_BOUND) -> Len
     Raises RealizationNotFoundError when no candidate with total length
     <= search_bound realizes the code.
     """
-    if search_bound < 1:
-        raise ValueError(f"search bound must be positive, got {search_bound}")
+    check_ints((search_bound,), 1, "search bound must be positive")
     n_min = max(3, gee.span + 1)
     n_max = n_min + gee.k + 2
     escapes = {n: [(*s, n) for s in _least_undominated(gee, n)] for n in range(n_min, n_max + 1)}

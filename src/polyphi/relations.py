@@ -14,16 +14,9 @@ from functools import reduce
 from math import comb, prod
 from operator import and_
 
-from .combinatorics import (
-    GeeParams,
-    IndexSet,
-    subgee_profiles,
-)
+from .combinatorics import GeeParams, IndexSet, subgee_profiles
 from .duality import pairing_set
-from .errors import (
-    NoRelationsError,
-    SizeLimitError,
-)
+from .errors import SizeLimitError
 from .lengths import enumerate_subgees
 
 __all__ = [
@@ -85,13 +78,11 @@ def subgee_count(gee: GeeParams) -> int:
 
 
 def build_matrix(gee: GeeParams, *, max_basis: int = DEFAULT_MAX_BASIS) -> RelationMatrix:
-    """Assemble the full relation matrix for a nonempty gee.
+    """Assemble the full relation matrix.
 
-    Raises NoRelationsError for k = 0 (one basis element, no relations) and
+    The empty gee gives one column (the empty set) and no rows.  Raises
     SizeLimitError when the subgee count exceeds max_basis.
     """
-    if gee.k == 0:
-        raise NoRelationsError("the empty gee has a single basis element and no relations")
     count = subgee_count(gee)
     if count > max_basis:
         raise SizeLimitError(f"basis size {count} exceeds max_basis={max_basis}")
@@ -156,8 +147,6 @@ def annihilation_failures(
     disjoint from I; a nonzero XOR lands I in the returned list.  An empty
     list is the full verification that the formula kills every relation.
     """
-    if gee.k == 0:
-        return []
     matrix = build_matrix(gee, max_basis=max_basis)
     values = sum(pairing_set(gee, c) << j for j, c in enumerate(matrix.columns))
     return [
@@ -175,10 +164,7 @@ def cross_validate(gee: GeeParams, *, max_basis: int = DEFAULT_MAX_BASIS) -> Dua
     than 1 would falsify completeness of the relation set and is reported,
     never raised.
     """
-    try:
-        matrix = build_matrix(gee, max_basis=max_basis)
-    except NoRelationsError:
-        matrix = RelationMatrix((IndexSet(),), (), ())
+    matrix = build_matrix(gee, max_basis=max_basis)
     dim, oracle = nullspace_functional(matrix)
     formula = {c: pairing_set(gee, c) for c in matrix.columns}
     agree = dim == 1 and oracle == formula

@@ -232,6 +232,14 @@ def test_verify_k0(capsys):
     assert "all 0 relations annihilated" in out
 
 
+def test_empty_gee_basis_guard_exits_2(capsys):
+    # The empty gee's basis is the empty set alone, so max_basis=0 refuses it.
+    for command in ["verify", "oracle"]:
+        code, out, err = run(capsys, command, "--a", "", "--max-basis", "0")
+        assert code == 2 and out == ""
+        assert err == "error: basis size 1 exceeds max_basis=0\n"
+
+
 def test_verify_json(capsys):
     code, out, _ = run(capsys, "verify", "--a", "1,1", "--format", "json")
     assert code == 0

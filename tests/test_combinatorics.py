@@ -57,6 +57,8 @@ def test_index_set_mask_round_trip():
     assert IndexSet.from_mask(0) == IndexSet()
     with pytest.raises(ValueError, match="nonnegative"):
         IndexSet.from_mask(-1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        IndexSet.from_mask(True)
 
 
 def test_index_set_descending():

@@ -223,6 +223,10 @@ def test_closed_form_zero_outside_suffix_condition():
 def test_closed_form_requires_three_blocks():
     with pytest.raises(ValueError):
         closed_form_k3(GeeParams((2, 2)), (0, 0))
+    with pytest.raises(ValueError):
+        closed_form_k3(GeeParams((2, 2, 2)), (True, 0, 0))
+    with pytest.raises(InfeasibleProfileError):
+        closed_form_k3(GeeParams((1, 1, 1)), (0, 2, 0))
 
 
 def test_closed_form_agrees_with_general_formula_small():

@@ -406,8 +406,9 @@ def test_realize_not_found_reports_bound():
 
 
 def test_realize_rejects_bad_bound():
-    with pytest.raises(ValueError):
-        realize_gee(GeeParams((1,)), search_bound=0)
+    for bound in [0, True, 1.5, "3"]:
+        with pytest.raises(ValueError, match="search bound must be positive"):
+            realize_gee(GeeParams((1,)), search_bound=bound)
 
 
 SMALL_GEES = [a for k in range(4) for a in product(range(1, 4), repeat=k)]

@@ -42,7 +42,6 @@ PUBLIC = {
     "RealizationNotFoundError",
     "SizeLimitError",
     "InfeasibleProfileError",
-    "NoRelationsError",
     # lengths
     "LengthVector",
     "GeneticCode",

@@ -21,10 +21,7 @@ from polyphi import (
     nullspace_functional,
     subgee_count,
 )
-from polyphi.errors import (
-    NoRelationsError,
-    SizeLimitError,
-)
+from polyphi.errors import SizeLimitError
 
 from brute import brute_subgees
 
@@ -53,9 +50,11 @@ def test_build_matrix_two_blocks_of_one():
     assert m.bits == (0b0101, 0b0011, 0b0001)
 
 
-def test_build_matrix_k0_raises():
-    with pytest.raises(NoRelationsError):
-        build_matrix(GeeParams(()))
+def test_build_matrix_k0_has_one_column_and_no_rows():
+    m = build_matrix(GeeParams(()))
+    assert m.columns == (IndexSet(),)
+    assert m.rows == () and m.bits == ()
+    assert nullspace_functional(m) == (1, {IndexSet(): 1})
 
 
 def test_build_matrix_size_guard():
