@@ -57,7 +57,7 @@ class IndexSet:
     @classmethod
     def from_mask(cls, mask: int) -> IndexSet:
         """Build from a bitmask where bit i-1 encodes membership of i."""
-        check_ints((mask,), 0, "masks are nonnegative")
+        check_ints((mask,), 0, "masks are nonnegative integers")
         return cls(i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1)
 
     @property

@@ -238,17 +238,6 @@ def _dominated(head: tuple[int, ...], bounds: tuple[int, ...]) -> Iterator[tuple
         yield from _dominated((*head, s), bounds)
 
 
-def _ascending_tuples(parts: int, total: int, lo: int = 1) -> Iterator[tuple[int, ...]]:
-    """Nondecreasing tuples of `parts` integers >= lo summing to total, lex order."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for v in range(lo, total // parts + 1):
-        for rest in _ascending_tuples(parts - 1, total - v, v):
-            yield (v, *rest)
-
-
 def _least_undominated(gee: GeeParams, n: int) -> list[tuple[int, ...]]:
     """The least subsets of {1..n-1} that the gee does not dominate.
 
@@ -267,6 +256,70 @@ def _least_undominated(gee: GeeParams, n: int) -> list[tuple[int, ...]]:
     return [s for s in sets if s[-1] <= n - 1]
 
 
+def _prefix_tables(n: int, gene: IndexSet, escapes: list[tuple[int, ...]]) -> list[tuple]:
+    """For each position q = 1..n-1: whether q is in the gene, how many gene
+    members lie in [q, n), and for each escape set whether q is in it and
+    how many of [q, n) are not.  Every set is taken to contain n."""
+    members = [set(s) for s in escapes]
+    rows = []
+    gene_after, free = 0, [0] * len(escapes)
+    for q in range(n - 1, 0, -1):
+        gene_after += q in gene
+        free = [f + (q not in s) for f, s in zip(free, members)]
+        rows.append((q in gene, gene_after, tuple(q in s for s in members), tuple(free)))
+    return rows[::-1]
+
+
+def _passing_vectors(n: int, total: int, tables: list[tuple]) -> Iterator[tuple[int, ...]]:
+    """The sorted positive vectors p_1 <= ... <= p_n summing to `total` on
+    which the gene is short and every escape set is long, in lex order.
+
+    A depth-first walk on an explicit stack chooses p_q = w after a prefix
+    whose gene sum is g, whose escape sums are e_S, and which leaves `rest`
+    for p_q..p_n.  The later parts are each >= w and sum to rest - w, so:
+
+    - the gene sums to at least g + w*|G in [q, n)| + max(w, ceil((rest - w)
+      / (n - q))), as p_n is the largest later part; w is cut when twice
+      this is >= total.  The bound is not monotone in w, so each w is tested.
+    - an escape set S sums to at most e_S + rest - w*c, where c = |[q, n)
+      minus S|.  This falls as w grows, so for c > 0 it caps w.
+
+    Neither cut drops a vector that passes.  At q = n-1 both bounds are
+    exact: p_n = rest - w is the largest part, and an escape set is
+    checked exactly at its last non-member, where c = 1 and every later
+    part is a member (an escape set with no non-member holds every part
+    and is long).  So the walk yields exactly the vectors that pass.
+    """
+    stack = [((), 1, total, 0, (0,) * len(tables[0][2]))]
+    while stack:
+        parts, lo, rest, gene_sum, escape_sums = stack.pop()
+        in_gene, gene_after, in_escape, free = tables[len(parts)]
+        left = n - len(parts)  # parts still to choose, p_q included; n >= 3 keeps it >= 2
+        hi = rest // left
+        for e, c in zip(escape_sums, free):
+            if c:
+                hi = min(hi, (2 * (e + rest) - total - 1) // (2 * c))
+        passing = [
+            w
+            for w in range(lo, hi + 1)
+            if 2 * (gene_sum + w * gene_after + max(w, -(-(rest - w) // (left - 1)))) < total
+        ]
+        if left == 2:
+            for w in passing:
+                yield (*parts, w, rest - w)
+            continue
+        stack.extend(
+            (
+                (*parts, w),
+                w,
+                rest - w,
+                gene_sum + w if in_gene else gene_sum,
+                tuple(e + w if f else e for e, f in zip(escape_sums, in_escape)),
+            )
+            for w in reversed(passing)
+        )
+
+
 def realize_gee(gee: GeeParams, search_bound: int = DEFAULT_SEARCH_BOUND) -> LengthVector:
     """Search for an integer length vector whose genetic code is the single gene.
 
@@ -282,10 +335,13 @@ def realize_gee(gee: GeeParams, search_bound: int = DEFAULT_SEARCH_BOUND) -> Len
     for every S in {1..n-1} the gee does not dominate.  Shortness only falls
     down the domination order, so it is enough that S + {n} is long for the
     least such S (`_least_undominated`, listed once per n).  Both tests are
-    strict, so no set sums to half the total and the vector is generic.  A
-    candidate failing either test is skipped before any Fraction is built,
-    and one passing both has the requested code, so `genetic_code`, which
-    still confirms the winner, runs once per successful search.
+    strict, so no set sums to half the total and the vector is generic.
+    The vectors that pass both tests are listed in lexicographic order by
+    `_passing_vectors`, which cuts a prefix as soon as a bound shows that
+    no completion passes; the cuts never drop a passing vector, so they do
+    not change which vector wins.  A passing vector has the requested code,
+    so `genetic_code`, which still confirms the winner, runs once per
+    successful search.
 
     Raises RealizationNotFoundError when no candidate with total length
     <= search_bound realizes the code.
@@ -293,19 +349,14 @@ def realize_gee(gee: GeeParams, search_bound: int = DEFAULT_SEARCH_BOUND) -> Len
     check_ints((search_bound,), 1, "search bound must be positive")
     n_min = max(3, gee.span + 1)
     n_max = n_min + gee.k + 2
-    escapes = {n: [(*s, n) for s in _least_undominated(gee, n)] for n in range(n_min, n_max + 1)}
+    searches = {}
+    for n in range(n_min, min(n_max, search_bound) + 1):
+        gene = IndexSet([*gee.gee(), n])
+        searches[n] = GeneticCode((gene,), n), _prefix_tables(n, gene, _least_undominated(gee, n))
     for total in range(n_min, search_bound + 1):
         for n in range(n_min, min(n_max, total) + 1):
-            gene = IndexSet([*gee.gee(), n])
-            target = GeneticCode((gene,), n)
-            for parts in _ascending_tuples(n, total):
-                # A long (or, on a tie, non-generic) gene rules the candidate
-                # out, and so does a least undominated set that is short (or
-                # tied) together with n.
-                if 2 * sum(parts[j - 1] for j in gene) >= total or any(
-                    2 * sum(parts[j - 1] for j in s) <= total for s in escapes[n]
-                ):
-                    continue
+            target, tables = searches[n]
+            for parts in _passing_vectors(n, total, tables):
                 candidate = LengthVector(tuple(Fraction(p) for p in parts))
                 try:
                     code = genetic_code(candidate)

@@ -8,25 +8,21 @@ from the library's primitives: every composition of the right size,
 filtered by the suffix condition.  Subgee profiles are listed by the same
 filter, and subgees are expanded from them block by block and then sorted.
 A Gray-code walk over all subsets is a second genetic-code oracle,
-exhaustive where `genetic_code` prunes, and the realize search that computes
-the genetic code of every candidate is the oracle of the pre-filtered one.
+exhaustive where `genetic_code` prunes, and a realize search that lists
+every ascending tuple and computes the genetic code of each candidate is
+the oracle of the pruned one.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial
 
 from polyphi.combinatorics import IndexSet, binom_parity, compositions, is_subgee_profile
 from polyphi.errors import EmptySpaceError, NotGenericError, RealizationNotFoundError
-from polyphi.lengths import (
-    GeneticCode,
-    LengthVector,
-    _ascending_tuples,
-    genetic_code,
-    is_generic,
-)
+from polyphi.lengths import GeneticCode, LengthVector, genetic_code, is_generic
 
 
 def exact_binomial(m: int, r: int) -> int:
@@ -223,10 +219,21 @@ def genetic_code_by_gray_walk(lengths) -> GeneticCode:
     return GeneticCode(tuple(genes), n)
 
 
+def ascending_tuples(parts: int, total: int, lo: int = 1) -> Iterator[tuple[int, ...]]:
+    """Nondecreasing tuples of `parts` integers >= lo summing to total, lex order."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for v in range(lo, total // parts + 1):
+        for rest in ascending_tuples(parts - 1, total - v, v):
+            yield (v, *rest)
+
+
 def realize_by_genetic_code(gee, search_bound: int) -> LengthVector:
-    """`realize_gee` without its undominated-set filter: every candidate on
-    which the gene is short has its genetic code computed and compared.
-    Same scan order, result and error message."""
+    """`realize_gee` without its prefix cuts and undominated-set tests: every
+    ascending tuple on which the gene is short has its genetic code computed
+    and compared.  Same scan order, result and error message."""
     if search_bound < 1:
         raise ValueError(f"search bound must be positive, got {search_bound}")
     n_min = max(3, gee.span + 1)
@@ -235,7 +242,7 @@ def realize_by_genetic_code(gee, search_bound: int) -> LengthVector:
         for n in range(n_min, min(n_max, total) + 1):
             gene = IndexSet([*gee.gee(), n])
             target = GeneticCode((gene,), n)
-            for parts in _ascending_tuples(n, total):
+            for parts in ascending_tuples(n, total):
                 # A long (or, on a tie, non-generic) gene rules the candidate out.
                 if 2 * sum(parts[j - 1] for j in gene) >= total:
                     continue

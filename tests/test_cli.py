@@ -307,6 +307,14 @@ def test_realize_unrealizable_gee_exits_1_at_default_bound(capsys):
     assert "40" in err
 
 
+def test_realize_deep_search_reports_an_error(capsys):
+    # n = 1001 sides: the search must not nest one call per side.
+    code, out, err = run(capsys, "realize", "--a", "1000", "--bound", "1001")
+    assert code in (1, 2)
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_lengths_and_gee_paths_agree(capsys):
     _, out, _ = run(capsys, "realize", "--a", "1,1", "--format", "json")
     lengths = ",".join(json.loads(out)["lengths"])

@@ -55,10 +55,12 @@ def test_index_set_mask_round_trip():
     assert s.mask == 0b11001
     assert IndexSet.from_mask(s.mask) == s
     assert IndexSet.from_mask(0) == IndexSet()
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="masks are nonnegative integers"):
         IndexSet.from_mask(-1)
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="masks are nonnegative integers"):
         IndexSet.from_mask(True)
+    with pytest.raises(ValueError, match="masks are nonnegative integers"):
+        IndexSet.from_mask(1.5)
 
 
 def test_index_set_descending():

@@ -36,9 +36,10 @@ from polyphi.errors import (
     TooFewSidesError,
 )
 
-from polyphi.lengths import _least_undominated
+from polyphi.lengths import _least_undominated, _passing_vectors, _prefix_tables
 
 from brute import (
+    ascending_tuples,
     brute_genetic_code,
     brute_is_generic,
     brute_set_leq,
@@ -423,8 +424,16 @@ def _realized(search, a, bound):
 
 def test_realize_matches_genetic_code_search():
     cases = [(a, 18) for a in SMALL_GEES] + [((2, 2, 2), 16), ((1, 2, 2, 2), 16)]
+    # Unrealizable gees at bounds where the prefix cuts drop most tuples.
+    cases += [((2, 2, 2), 24), ((1, 2, 2, 2), 22), ((2, 2, 2, 2), 22)]
     for a, bound in cases:
         assert _realized(realize_gee, a, bound) == _realized(realize_by_genetic_code, a, bound), a
+
+
+def test_realize_matches_genetic_code_search_on_every_small_gee():
+    # All 85 gees with k <= 3 and a_i <= 4; about 5 s on a 2-core host.
+    for a in (a for k in range(4) for a in product(range(1, 5), repeat=k)):
+        assert _realized(realize_gee, a, 20) == _realized(realize_by_genetic_code, a, 20), a
 
 
 def test_least_undominated_sets_are_complete():
@@ -438,6 +447,25 @@ def test_least_undominated_sets_are_complete():
                 for s in combinations(range(1, n), r):
                     if not brute_set_leq(s, gee.prefix_sums):
                         assert any(brute_set_leq(t, s) for t in least), (a, n, s)
+
+
+def test_prefix_walk_yields_exactly_the_filtered_tuples():
+    for a in SMALL_GEES:
+        gee = GeeParams(a)
+        n_min = max(3, gee.span + 1)
+        for n in range(n_min, n_min + gee.k + 3):
+            gene = IndexSet([*gee.gee(), n])
+            least = _least_undominated(gee, n)
+            tables = _prefix_tables(n, gene, least)
+            escapes = [(*s, n) for s in least]
+            for total in range(n, 21):
+                passing = [
+                    p
+                    for p in ascending_tuples(n, total)
+                    if 2 * sum(p[j - 1] for j in gene) < total
+                    and all(2 * sum(p[j - 1] for j in s) > total for s in escapes)
+                ]
+                assert list(_passing_vectors(n, total, tables)) == passing, (a, n, total)
 
 
 def test_realize_computes_one_genetic_code_per_realized_gee(monkeypatch):
