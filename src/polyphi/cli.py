@@ -13,6 +13,7 @@ import json
 import sys
 from collections.abc import Callable
 from fractions import Fraction
+from functools import cache
 from itertools import islice
 
 from .combinatorics import GeeParams, IndexSet, block_counts, is_subgee_profile, subgee_profiles
@@ -279,6 +280,7 @@ def _add_format(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
 
 
+@cache  # built on the first call, then shared: parse_args leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polyphi",

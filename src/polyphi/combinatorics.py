@@ -55,6 +55,13 @@ class IndexSet:
         self.elements = elems
 
     @classmethod
+    def _from_ascending(cls, elements: tuple[int, ...]) -> IndexSet:
+        """Wrap a tuple of distinct positive ints, already ascending, unchecked."""
+        obj = cls.__new__(cls)
+        obj.elements = elements
+        return obj
+
+    @classmethod
     def from_mask(cls, mask: int) -> IndexSet:
         """Build from a bitmask where bit i-1 encodes membership of i."""
         check_ints((mask,), 0, "masks are nonnegative integers")

@@ -162,14 +162,17 @@ def genetic_code(lengths: LengthVector, *, max_n: int = DEFAULT_MAX_N) -> Geneti
     downward closed and any strict domination factors through such steps.
 
     The sets are found by a depth-first search that decides the members
-    n-1, n-2, ..., 1 in turn, on an explicit stack.  A node carries the
-    running sum, the mask of the members taken so far and the cost of the
-    cheapest enlargement already fixed by the decided positions: leaving
-    out i fixes adding i, and taking i when i+1 is absent fixes moving i
-    to i+1.  A branch is cut when taking i would make the set long, or when
-    even taking every undecided element would leave the cheapest fixed
-    enlargement short, since then no completion is maximal.  At a leaf every
-    enlargement is fixed, so the surviving leaves are exactly the genes.  In
+    n-1, n-2, ..., 1 in turn, on an explicit stack.  An entry carries the
+    count j of undecided sides 1..j, the running sum, the members taken so
+    far as an ascending tuple (taking side j prepends it, and side j+1 is a
+    member exactly when it comes first) and the cost of the cheapest
+    enlargement already fixed by the decided sides: leaving out side j
+    fixes adding it, and taking j when j+1 is absent fixes moving j up to
+    j+1.  A child is cut before it is pushed when taking side j would make
+    the set long, or when even taking every undecided side would leave the
+    cheapest fixed enlargement short, since then no completion is maximal.
+    At a leaf every enlargement is fixed, so the surviving leaves are
+    exactly the genes, and their member tuples are the genes' elements.  In
     practice the nodes visited grow with the number of genes rather than
     with 2^(n-1): a few dozen per gene on random vectors with n = 20.
     """
@@ -184,26 +187,33 @@ def genetic_code(lengths: LengthVector, *, max_n: int = DEFAULT_MAX_N) -> Geneti
         raise EmptySpaceError(f"{{{n}}} is long, the moduli space is empty")
 
     below = [0, *accumulate(ints[:-1])]  # below[j]: the sum of the j shortest sides
-    genes: list[IndexSet] = []
-    # (undecided count j, sum, members mask, cheapest fixed enlargement);
+    limit = (total + 1) // 2  # a sum is short exactly when it is below limit
+    genes: list[tuple[int, ...]] = []
+    # (undecided count j, sum, ascending members, cheapest fixed enlargement);
     # `total` stands for "no enlargement fixed yet", as it can never be short.
-    stack = [(n - 1, ints[-1], 1 << (n - 1), total)]
+    stack = [(n - 1, ints[-1], (n,), total)]
     while stack:
-        j, cur, mask, cheapest = stack.pop()
-        if 2 * (cur + below[j] + cheapest) < total:
-            continue
+        j, cur, members, cheapest = stack.pop()
         if not j:
-            genes.append(IndexSet.from_mask(mask))
+            genes.append(members)
             continue
         i = j - 1
-        stack.append((i, cur, mask, min(cheapest, ints[i])))
-        if 2 * (cur + ints[i]) < total:
-            if not (mask >> j) & 1:
-                cheapest = min(cheapest, ints[j] - ints[i])
-            stack.append((i, cur + ints[i], mask | 1 << i, cheapest))
+        side = ints[i]
+        rest = below[i]
+        # Leave out side j, which fixes adding it.
+        fixed = side if side < cheapest else cheapest
+        if cur + rest + fixed >= limit:
+            stack.append((i, cur, members, fixed))
+        # Take side j; without side j+1 that fixes moving j up to it.
+        cur += side
+        if cur < limit:
+            if members[0] != j + 1 and ints[j] - side < cheapest:
+                cheapest = ints[j] - side
+            if cur + rest + cheapest >= limit:
+                stack.append((i, cur, (j, *members), cheapest))
 
-    genes.sort(key=lambda g: (-len(g), g.elements))
-    return GeneticCode(tuple(genes), n)
+    genes.sort(key=lambda g: (-len(g), g))
+    return GeneticCode(tuple(map(IndexSet._from_ascending, genes)), n)
 
 
 def monogenic_gee(code: GeneticCode) -> GeeParams:
@@ -341,7 +351,8 @@ def realize_gee(gee: GeeParams, search_bound: int = DEFAULT_SEARCH_BOUND) -> Len
     no completion passes; the cuts never drop a passing vector, so they do
     not change which vector wins.  A passing vector has the requested code,
     so `genetic_code`, which still confirms the winner, runs once per
-    successful search.
+    successful search, and without its `max_n` guard: the code it lists
+    has one gene, however large n is.
 
     Raises RealizationNotFoundError when no candidate with total length
     <= search_bound realizes the code.
@@ -359,7 +370,7 @@ def realize_gee(gee: GeeParams, search_bound: int = DEFAULT_SEARCH_BOUND) -> Len
             for parts in _passing_vectors(n, total, tables):
                 candidate = LengthVector(tuple(Fraction(p) for p in parts))
                 try:
-                    code = genetic_code(candidate)
+                    code = genetic_code(candidate, max_n=n)
                 except (NotGenericError, EmptySpaceError):
                     continue
                 if code == target:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from polyphi.cli import main
+from polyphi.cli import _build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -294,6 +294,12 @@ def test_realize_round_trip_through_gene(capsys):
     assert json.loads(out2)["a"] == [2]
 
 
+def test_realize_beyond_the_size_guard(capsys):
+    code, out, _ = run(capsys, "realize", "--a", "30", "--bound", "200")
+    assert code == 0
+    assert out == f"n: 31\nlengths: {'1,' * 30}27\ntotal: 57\n"
+
+
 def test_realize_not_found_exits_1(capsys):
     code, _, err = run(capsys, "realize", "--a", "1,1", "--bound", "8")
     assert code == 1
@@ -335,3 +341,31 @@ def test_exit_codes_contract(capsys):
     assert run(capsys, "realize", "--a", "1,1", "--bound", "4")[0] == 1  # search failed
     assert run(capsys, "gene", "--lengths", "1,1,2")[0] == 2  # contract error
     assert run(capsys, "table", "--a", "0")[0] == 2           # bad increments
+
+
+def _outcome(capsys, argv):
+    """Like `run`, but an argparse exit counts as its exit code."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_shared_between_calls_leaks_no_option(capsys):
+    calls = [
+        ["phi", "--a", "2,2,2", "--J", "3", "--explain", "--format", "json"],
+        ["phi", "--a", "2,2,2", "--J", "3"],
+        ["phi", "--a", "2,2,2", "--J", "3", "--format", "xml"],
+        ["phi", "--a", "2,2,2", "--J", "3", "--format", "json"],
+    ]
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(_outcome(capsys, argv))
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 0]
+    assert "explain" not in fresh[3][1]
+    _build_parser.cache_clear()
+    assert [_outcome(capsys, argv) for argv in calls] == fresh
+    assert _build_parser.cache_info().misses == 1

@@ -279,9 +279,24 @@ def test_pruned_search_matches_gray_walk():
     for raw in vectors:
         lv = normalize(raw)
         expected = _outcome(genetic_code_by_gray_walk, lv)
-        assert _outcome(genetic_code, lv) == expected, raw
+        got = _outcome(genetic_code, lv)
+        assert got == expected, raw
+        if isinstance(got, GeneticCode):
+            assert_well_formed(got)
         kinds.add(expected[0] if isinstance(expected, tuple) else GeneticCode)
     assert kinds == {GeneticCode, NotGenericError, EmptySpaceError}
+
+
+def assert_well_formed(code):
+    """The genes skip IndexSet's validation, so check what it would: each is
+    the set the validating constructor builds, of ascending ints (not bools)
+    ending in n, and the genes come in (size desc, lex) order."""
+    for g in code.genes:
+        assert g == IndexSet(g.elements), g
+        assert all(type(e) is int for e in g.elements), g
+        assert all(a < b for a, b in zip(g.elements, g.elements[1:])), g
+        assert g.elements[-1] == code.n, g
+    assert list(code.genes) == sorted(code.genes, key=lambda g: (-len(g), g.elements))
 
 
 @st.composite
@@ -297,7 +312,9 @@ def generic_nonempty_vectors(draw):
 @settings(max_examples=150, deadline=None)
 def test_genes_are_short_maximal_and_incomparable(lv):
     n = lv.n
-    genes = genetic_code(lv).genes
+    code = genetic_code(lv)
+    assert_well_formed(code)
+    genes = code.genes
     assert genes
     for g in genes:
         assert n in g and is_short(lv, g)
@@ -399,6 +416,13 @@ def test_realize_round_trips(a):
     code = genetic_code(lv)
     assert code.is_monogenic
     assert monogenic_gee(code) == gee
+
+
+def test_realize_confirms_the_winner_beyond_the_size_guard():
+    # n = 31 > DEFAULT_MAX_N: the search has proven the code, so the guard is not applied.
+    lv = realize_gee(GeeParams((30,)), search_bound=200)
+    assert lv.lengths == (1,) * 30 + (27,)
+    assert monogenic_gee(genetic_code(lv, max_n=31)) == GeeParams((30,))
 
 
 def test_realize_not_found_reports_bound():
