@@ -183,9 +183,44 @@ def _cell(value: object) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, list):
-        sep = ";" if value and isinstance(value[0], list) else " "
-        return sep.join(map(_cell, value))
+        if value and isinstance(value[0], list):
+            return ";".join(" ".join(map(str, v)) for v in value)
+        return " ".join(map(str, value))
     return str(value)
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json(value: object, indent: str = "") -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)`, byte for byte.
+
+    The standard encoder falls back to a Python generator per value once
+    it indents; here a list of plain ints is joined in one call, which is
+    most of every payload.  Dicts (with str keys), lists, tuples, str and
+    plain ints are written here; bools, None and other scalars go to
+    `json.dumps`.
+    """
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = sep.join(f"{_quote(k)}: {_json(v, inner)}" for k, v in sorted(value.items()))
+        return "{\n" + inner + body + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if {*map(type, value)} == {int}:
+            body = sep.join(map(str, value))
+        else:
+            body = sep.join(_json(v, inner) for v in value)
+        return "[\n" + inner + body + "\n" + indent + "]"
+    if isinstance(value, str):
+        return _quote(value)
+    if type(value) is int:
+        return str(value)
+    return json.dumps(value)
 
 
 def _tuple(values: list) -> str:
@@ -265,7 +300,7 @@ def _render(
     fmt: str, payload: dict, columns: list[str], text: Callable[[dict], list[str]]
 ) -> str:
     if fmt == "json":
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return _json(payload) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

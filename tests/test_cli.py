@@ -5,11 +5,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from polyphi.cli import _build_parser, main
+from polyphi import IndexSet, relations
+from polyphi.cli import _build_parser, _cell, _json, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -43,9 +46,37 @@ def test_gene_json(capsys):
     }
 
 
-def test_gene_json_round_trip_bytes(capsys):
-    _, out, _ = run(capsys, "gene", "--lengths", "1,2,2,4,4", "--format", "json")
-    assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out
+def _n20_lengths() -> str:
+    """A generic 20-gon with about two thousand genes."""
+    rng = random.Random(0)
+    x = [rng.randint(1, 1000) for _ in range(20)]
+    x[-1] += 1 - sum(x) % 2  # an odd total is never split in half
+    return ",".join(map(str, x))
+
+
+def test_gene_json_round_trip_bytes(capsys, monkeypatch):
+    # The golden files pin only small payloads; these are the other shapes
+    # the JSON writer meets, up to a code of thousands of genes.
+    original = relations.pairing_set  # flip one value so that verify lists failures
+    monkeypatch.setattr(
+        relations, "pairing_set", lambda gee, s: original(gee, s) ^ (s == IndexSet((1,)))
+    )
+    n20 = _n20_lengths()
+    payloads = {}
+    for argv in [
+        ("gene", "--lengths", "1,2,2,4,4"),
+        ("gene", "--lengths", n20),
+        ("table", "--a", "2,2,2"),
+        ("phi", "--a", "2,2,2", "--J", "3", "--explain"),
+        ("oracle", "--a", "2,2,2", "--explain"),
+        ("verify", "--a", "2,2,2"),
+        ("realize", "--a", "2"),
+    ]:
+        _, out, _ = run(capsys, *argv, "--format", "json")
+        assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out, argv
+        payloads[argv] = json.loads(out)
+    assert len(payloads["gene", "--lengths", n20]["code"]) > 500
+    assert payloads["verify", "--a", "2,2,2"]["failures"]
 
 
 def test_gene_csv(capsys):
@@ -332,6 +363,43 @@ def test_lengths_and_gee_paths_agree(capsys):
             capsys, "phi", "--a", "1,1", "--J", subscripts, "--format", "json"
         )
         assert json.loads(via_lengths)["phi"] == json.loads(via_gee)["phi"]
+
+
+# ------------------------------------------------------------------ rendering
+
+# Strings the JSON writer must escape as json.dumps does.
+_awkward_text = st.text(st.sampled_from('a"\\/\x00\x1f\n\t\x7fé€\u2028😀')) | st.text()
+_ints = st.integers(min_value=-(2**80), max_value=2**80)
+_payloads = st.recursive(
+    st.none() | st.booleans() | _ints | _awkward_text | st.lists(_ints | st.booleans()),
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.dictionaries(_awkward_text, inner),
+    max_leaves=12,
+)
+
+
+@given(_payloads)
+@settings(max_examples=150, deadline=None)
+def test_json_writer_matches_json_dumps(value):
+    assert _json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "value, cell",
+    [
+        ([5, 4], "5 4"),  # gene a, phi J and theta
+        ([[6, 5], [6, 4, 1]], "6 5;6 4 1"),  # gene code, verify failures
+        (["1", "3/2", "2"], "1 3/2 2"),  # realize lengths
+        ([], ""),
+        (True, "true"),
+        (False, "false"),
+        (None, ""),
+        (7, "7"),
+    ],
+)
+def test_csv_cell_shapes(value, cell):
+    assert _cell(value) == cell
 
 
 # ------------------------------------------------------------------ contract

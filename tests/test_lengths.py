@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -274,7 +275,25 @@ def test_pruned_search_matches_gray_walk():
             # equal lengths make moves to the next side cost nothing
             vectors.append(_odd_total([rng.choice((1, 2, 3, 5)) for _ in range(n)]))
             vectors.append([rng.randint(1, 12) for _ in range(n)])
+        # equal and nearly equal sides: many moves cost nothing
+        vectors.append([1] * n)
+        vectors.append(_odd_total([1000 + rng.randint(0, 50) for _ in range(n)]))
     vectors.append(_odd_total([rng.randint(1, 10**6) for _ in range(18)]))
+    # Several equal huge sides above a few tiny ones: once about half the
+    # huge sides are taken, the rest are too long and are left out in one
+    # jump, which reaches t = 0 when there is one tiny side.
+    for tiny in range(1, 4):
+        for huge in range(2, 9):
+            vectors.append(_odd_total([rng.randint(1, 9) for _ in range(tiny)]) + [10**6] * huge)
+    # The two longest sides sum to exactly the limit, so at the root side
+    # n-1 equals the room left below it: too long, by no margin.
+    room_exact = 0
+    while room_exact < 12:
+        rest = [rng.randint(1, 9) for _ in range(rng.randint(2, 12))]
+        a = (sum(rest) + 1) // 2
+        if a >= max(rest):
+            vectors.append([*rest, a, sum(rest) + 1 - a])
+            room_exact += 1
     kinds = set()
     for raw in vectors:
         lv = normalize(raw)
@@ -285,6 +304,15 @@ def test_pruned_search_matches_gray_walk():
             assert_well_formed(got)
         kinds.add(expected[0] if isinstance(expected, tuple) else GeneticCode)
     assert kinds == {GeneticCode, NotGenericError, EmptySpaceError}
+
+
+def test_equilateral_31_gon_code_within_budget():
+    # Equal sides make moving a member up to the next side free, and a set
+    # with a free move is never maximal: the search must not walk such sets.
+    start = time.perf_counter()
+    code = genetic_code(normalize([1] * 31), max_n=31)
+    assert time.perf_counter() - start < 1.0
+    assert code_tuples(code) == [tuple(range(17, 32))]
 
 
 def assert_well_formed(code):
