@@ -21,8 +21,8 @@ from .duality import (
     TopMonomial,
     admissible_summands,
     pairing,
-    pairing_by_profile,
     pairing_set,
+    pairing_table,
 )
 from .errors import PolyphiError, RealizationNotFoundError, SizeLimitError
 from .lengths import (
@@ -112,7 +112,7 @@ def _cmd_phi(args: argparse.Namespace) -> tuple[int, dict]:
     }
     if args.explain and profile is not None:
         payload["explain"] = [
-            {"b": list(b), "term": term} for b, term in admissible_summands(gee, profile)
+            {"b": b, "term": term} for b, term in admissible_summands(gee, profile)
         ]
     return 0, payload
 
@@ -123,9 +123,10 @@ def _cmd_table(args: argparse.Namespace) -> tuple[int, dict]:
     profiles = list(islice(subgee_profiles(gee), max(args.max_basis + 1, 0)))
     if len(profiles) > args.max_basis:
         raise SizeLimitError(f"table has more than max_basis={args.max_basis} rows")
+    values = pairing_table(gee)
     return 0, {
         "a": list(gee.a),
-        "rows": [{"theta": list(t), "phi": pairing_by_profile(gee, t)} for t in profiles],
+        "rows": [{"theta": list(t), "phi": values[t]} for t in profiles],
     }
 
 
@@ -201,6 +202,8 @@ def _json(value: object, indent: str = "") -> str:
     plain ints are written here; bools, None and other scalars go to
     `json.dumps`.
     """
+    if type(value) is int:
+        return str(value)
     inner = indent + "  "
     sep = ",\n" + inner
     if isinstance(value, dict):
@@ -218,8 +221,6 @@ def _json(value: object, indent: str = "") -> str:
         return "[\n" + inner + body + "\n" + indent + "]"
     if isinstance(value, str):
         return _quote(value)
-    if type(value) is int:
-        return str(value)
     return json.dumps(value)
 
 

@@ -220,26 +220,33 @@ def suffix_fillings(base: Profile, caps: Profile, budget: int) -> Iterator[Profi
 
     With k = len(base) and T = |base| + budget, every suffix of length j of
     base + x sums to at most j exactly when T <= k and every prefix of
-    length i sums to at least i - (k - T).  The walk picks x_i from the
-    least value keeping the prefix through position i at that bound up to
-    min(caps_i, remaining budget); at the last position the least value is
-    the whole remaining budget.  No branch dies when base meets the suffix
-    condition, T <= k and every cap is positive or the budget is 0, so the
-    walk then takes O(k) steps per yielded tuple.
+    length i sums to at least i - (k - T).  A depth-first walk on an
+    explicit stack picks x_i from the least value keeping the prefix
+    through position i at that bound up to min(caps_i, remaining budget).
+    The last entry is forced to the remaining budget, so the last two are
+    yielded directly.  No branch dies when base meets the suffix condition,
+    T <= k and every cap is positive or the budget is 0, so the walk then
+    takes O(k) steps per yielded tuple.
     """
-    slack = len(base) - sum(base) - budget
-    if budget >= 0 and slack >= 0:
-        yield from _fill((), base, caps, budget, slack)
-
-
-def _fill(head: Profile, base: Profile, caps: Profile, budget: int, lead: int) -> Iterator[Profile]:
-    # lead: how far the prefix through head exceeds its bound.
-    j = len(head)
-    if j == len(base):
-        yield head
+    k = len(base)
+    slack = k - sum(base) - budget
+    if budget < 0 or slack < 0:
         return
-    for x in range(max(0, 1 - lead - base[j]), min(caps[j], budget) + 1):
-        yield from _fill((*head, x), base, caps, budget - x, lead + base[j] + x - 1)
+    if k < 2:  # x is () or (budget,)
+        if k == 0 or budget <= caps[0]:
+            yield (budget,) * k
+        return
+    stack = [((), budget, slack)]  # (head, budget left, lead of the prefix over its bound)
+    while stack:
+        head, rest, lead = stack.pop()
+        j = len(head)
+        lo, hi = max(0, 1 - lead - base[j]), min(caps[j], rest)
+        if j == k - 2:
+            for x in range(max(lo, rest - caps[-1]), hi + 1):
+                yield (*head, x, rest - x)
+        else:
+            step = lead + base[j] - 1
+            stack.extend(((*head, x), rest - x, step + x) for x in range(hi, lo - 1, -1))
 
 
 def subgee_profiles(gee: GeeParams) -> Iterator[Profile]:

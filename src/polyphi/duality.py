@@ -12,8 +12,11 @@ the suffix length (the suffix condition), and it records which states are
 reached by an odd number of weighted choices.  That takes O(k^2) binomial
 parities and O(k^3) bit operations, while the admissible complementary
 profiles B can be exponentially many: the zero profile has the Catalan
-number C_k of them.  Listing them stays for `--explain`; it walks only
-admissible prefixes, so it costs O(k) steps per listed profile.
+number C_k of them.  Listing them stays for `--explain`; a flat walk over
+admissible prefixes yields each B in O(k) steps, and its term is k lookups
+in per-block parity tuples built once per call.  `pairing_table` runs the
+DP once over the suffixes that subgee profiles share, so a whole table
+costs O(k) amortized per row instead of O(k^2).
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, prod
+from operator import getitem
 
 from .combinatorics import (
     GeeParams,
@@ -40,6 +44,7 @@ __all__ = [
     "pairing",
     "pairing_set",
     "pairing_by_profile",
+    "pairing_table",
     "closed_form_k3",
     "count_disjoint_subgees",
     "admissible_summands",
@@ -80,13 +85,25 @@ def _summands(gee: GeeParams, profile: Profile) -> Iterator[tuple[Profile, int]]
     term: the product of binomial parities binom(a_i + b_i - 2, b_i).
 
     When the profile fails the suffix condition no B is admissible, so the
-    walk is skipped; otherwise none of its branches dies.
+    walk is skipped; otherwise none of its branches dies.  A term is k
+    lookups in the parities of each block, listed once for b_i <= budget.
     """
     if not is_subgee_profile(profile):
         return
     budget = gee.k - sum(profile)
+    parities = [tuple(binom_parity(a + b - 2, b) for b in range(budget + 1)) for a in gee.a]
     for b in suffix_fillings(profile, (budget,) * gee.k, budget):
-        yield b, int(all(binom_parity(ai + bi - 2, bi) for ai, bi in zip(gee.a, b)))
+        yield b, min(map(getitem, parities, b), default=1)
+
+
+def _spread(a: int, m: int, odd: int) -> int:
+    """One transfer step of the DP: the XOR of odd << b over the b = 0..m
+    whose weight binom(a + b - 2, b) is odd."""
+    reached = 0
+    for b in range(m + 1):
+        if binom_parity(a + b - 2, b):
+            reached ^= odd << b
+    return reached
 
 
 @lru_cache(maxsize=None)
@@ -103,12 +120,31 @@ def _profile_sum(gee: GeeParams, profile: Profile) -> int:
     """
     odd = 1
     for j, (a, t) in enumerate(zip(reversed(gee.a), reversed(profile)), start=1):
-        reached = 0
-        for b in range(j - t + 1):
-            if binom_parity(a + b - 2, b):
-                reached ^= odd << (t + b)
-        odd = reached & ((1 << (j + 1)) - 1)
+        odd = (_spread(a, j - t, odd) << t) & ((1 << (j + 1)) - 1)
     return odd >> gee.k & 1
+
+
+def pairing_table(gee: GeeParams) -> dict[Profile, int]:
+    """Duality value of every profile `subgee_profiles` lists, keyed by profile.
+
+    Runs the DP of `_profile_sum` once per shared suffix, last block first,
+    on an explicit stack.  A suffix of length j - 1 and sum s spreads its
+    state once over every b <= j; its child with entry t <= min(a_i, j - s)
+    shifts that by t and keeps bits 0..j, dropping the terms with b > j - t.
+    """
+    k = gee.k
+    table = {}
+    stack = [((), 0, 1)]  # (profile suffix, its sum, odd)
+    while stack:
+        suffix, s, odd = stack.pop()
+        j = len(suffix) + 1
+        if j > k:
+            table[suffix] = odd >> k & 1
+            continue
+        a = gee.a[-j]
+        spread, keep = _spread(a, j, odd), (1 << (j + 1)) - 1
+        stack.extend(((t, *suffix), s + t, (spread << t) & keep) for t in range(min(a, j - s) + 1))
+    return table
 
 
 def pairing_set(gee: GeeParams, subscripts: IndexSet) -> int:

@@ -250,19 +250,18 @@ def enumerate_subgees(gee: GeeParams) -> Iterator[IndexSet]:
 
     A set s_1 < ... < s_r is a subgee of g_1 < ... < g_k exactly when r <= k
     and s_i <= g_{k-r+i}, so each size is walked in lex order, picking s_i
-    above s_{i-1} up to its bound.  Bounds increase, so no branch dies.
+    above s_{i-1} up to its bound, depth first on an explicit stack.
+    Bounds increase, so no branch dies.
     """
     for r in range(gee.k + 1):
-        yield from map(IndexSet, _dominated((), gee.prefix_sums[gee.k - r:]))
-
-
-def _dominated(head: tuple[int, ...], bounds: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    i = len(head)
-    if i == len(bounds):
-        yield head
-        return
-    for s in range(head[-1] + 1 if head else 1, bounds[i] + 1):
-        yield from _dominated((*head, s), bounds)
+        bounds = gee.prefix_sums[gee.k - r:]
+        stack = [()]
+        while stack:
+            head = stack.pop()
+            if len(head) == r:
+                yield IndexSet._from_ascending(head)
+                continue
+            stack.extend((*head, s) for s in range(bounds[len(head)], head[-1] if head else 0, -1))
 
 
 def _least_undominated(gee: GeeParams, n: int) -> list[tuple[int, ...]]:

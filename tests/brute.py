@@ -6,7 +6,8 @@ genetic codes by pairwise maximality over all subsets, binomials by exact
 falling factorials.  The duality sum is kept in its defining form, built
 from the library's primitives: every composition of the right size,
 filtered by the suffix condition.  Subgee profiles are listed by the same
-filter, and subgees are expanded from them block by block and then sorted.
+filter, as are the suffix fillings behind both, and subgees are expanded
+from the profiles block by block and then sorted.
 A Gray-code walk over all subsets is a second genetic-code oracle,
 exhaustive where `genetic_code` prunes, and a realize search that lists
 every ascending tuple and computes the genetic code of each candidate is
@@ -134,6 +135,17 @@ def subgee_profiles_by_filter(gee) -> list[tuple[int, ...]]:
         for r in range(gee.k + 1)
         for profile in compositions(r, gee.k)
         if is_subgee_profile(profile) and all(c <= a for c, a in zip(profile, gee.a))
+    ]
+
+
+def fillings_by_filter(base, caps, budget) -> list[tuple[int, ...]]:
+    """The tuples x with 0 <= x_i <= caps_i summing to `budget` for which
+    base + x meets the suffix condition, in lexicographic order, found by
+    listing every tuple under the caps and filtering."""
+    return [
+        x
+        for x in product(*(range(c + 1) for c in caps))
+        if sum(x) == budget and is_subgee_profile(tuple(p + q for p, q in zip(base, x)))
     ]
 
 

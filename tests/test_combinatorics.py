@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from itertools import combinations, product
 from math import comb
 
@@ -18,9 +19,10 @@ from polyphi import (
     set_leq,
     subgee_profiles,
 )
+from polyphi.combinatorics import suffix_fillings
 from polyphi.errors import OutOfRangeError
 
-from brute import brute_set_leq, exact_binomial, subgee_profiles_by_filter
+from brute import brute_set_leq, exact_binomial, fillings_by_filter, subgee_profiles_by_filter
 
 
 # ---------------------------------------------------------------- IndexSet
@@ -240,6 +242,53 @@ def test_compositions_complete_sorted_unique(total, k):
     assert all(sum(t) == total and len(t) == k and min(t, default=0) >= 0 for t in out)
     expected = comb(total + k - 1, k - 1) if k > 0 else (1 if total == 0 else 0)
     assert len(out) == expected
+
+
+# --------------------------------------------------------- suffix_fillings
+
+@pytest.mark.parametrize(
+    "base, caps, budget, expected",
+    [
+        ((0, 0, 2), (2, 2, 2), 0, []),  # base fails the suffix condition
+        ((0, 2), (1, 1), 0, []),
+        ((0, 0, 0), (0, 0, 0), 0, [(0, 0, 0)]),  # zero caps
+        ((0, 0, 0), (0, 0, 0), 1, []),
+        ((0, 0, 0), (0, 0, 2), 2, []),
+        ((0, 0), (2, 2), -1, []),  # negative budget
+        ((1, 1, 1), (3, 3, 3), 1, []),  # negative slack
+        ((0, 0, 1), (1, 1, 1), 3, []),
+        ((), (), 0, [()]),  # k = 0
+        ((), (), 1, []),
+        ((), (), -1, []),
+        ((0,), (1,), 1, [(1,)]),
+        ((0,), (0,), 1, []),
+        ((0, 0, 0), (3, 3, 3), 3, [(1, 1, 1), (1, 2, 0), (2, 0, 1), (2, 1, 0), (3, 0, 0)]),
+    ],
+)
+def test_suffix_fillings_cases(base, caps, budget, expected):
+    assert list(suffix_fillings(base, caps, budget)) == expected
+    assert fillings_by_filter(base, caps, budget) == expected
+
+
+def test_suffix_fillings_match_filter():
+    # Every base, caps and budget with k <= 3 and entries <= 3, then a seeded
+    # sample at k = 4 and 5, where the full sweep would take minutes.
+    cases = [
+        (base, caps, budget)
+        for k in range(4)
+        for base in product(range(4), repeat=k)
+        for caps in product(range(4), repeat=k)
+        for budget in range(-1, k + 2)
+    ]
+    rng = random.Random(12)
+    for _ in range(3000):
+        k = rng.randint(4, 5)
+        base = tuple(rng.choice((0, 0, 0, 1, 1, 2, 3)) for _ in range(k))
+        caps = tuple(rng.randint(0, 3) for _ in range(k))
+        cases.append((base, caps, rng.randint(-1, k + 1)))
+    for base, caps, budget in cases:
+        expected = fillings_by_filter(base, caps, budget)
+        assert list(suffix_fillings(base, caps, budget)) == expected, (base, caps, budget)
 
 
 # --------------------------------------------------------- subgee_profiles

@@ -23,6 +23,8 @@ from polyphi import (
     pairing,
     pairing_by_profile,
     pairing_set,
+    pairing_table,
+    subgee_profiles,
 )
 from polyphi.errors import InfeasibleProfileError
 
@@ -158,12 +160,40 @@ def block_fitting_cases(max_k: int, max_a: int):
 
 
 def test_transfer_dp_and_pruned_summands_match_enumeration():
-    # One enumeration per case serves both checks: it dominates the cost.
+    # One enumeration per case serves all three checks: it dominates the
+    # cost.  A profile missing from the table has no admissible B, so 0.
+    tables = {}
     for gee, profile in block_fitting_cases(5, 3):
         expected = summands_by_enumeration(gee, profile)
         assert admissible_summands(gee, profile) == expected, (gee.a, profile)
         value = sum(term for _, term in expected) & 1
         assert pairing_by_profile(gee, profile) == value, (gee.a, profile)
+        if gee not in tables:
+            tables[gee] = pairing_table(gee)
+        assert tables[gee].get(profile, 0) == value, (gee.a, profile)
+
+
+def test_pairing_table_matches_per_profile_dp():
+    # The values at k <= 5 and a_i <= 3 are checked against enumeration
+    # above.  Here: the key sets there, and seeded gees up to k = 12, whose
+    # tables reach about 50,000 rows, on 200 sampled rows each.
+    for k in range(6):
+        for a in product(range(1, 4), repeat=k):
+            gee = GeeParams(a)
+            assert set(pairing_table(gee)) == set(subgee_profiles(gee)), a
+    rng = random.Random(5)
+    for k in range(6, 13):
+        gee = GeeParams(tuple(rng.randint(1, 2) for _ in range(k)))
+        table = pairing_table(gee)
+        assert set(table) == set(subgee_profiles(gee)), gee.a
+        for profile in rng.sample(sorted(table), min(200, len(table))):
+            assert table[profile] == pairing_by_profile(gee, profile), (gee.a, profile)
+
+
+def test_pairing_table_at_k0_and_twos():
+    assert pairing_table(GeeParams(())) == {(): 1}
+    for k in range(1, 9):
+        assert pairing_table(GeeParams((2,) * k))[(0,) * k] == catalan_is_odd(k), k
 
 
 def catalan_is_odd(k: int) -> int:

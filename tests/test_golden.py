@@ -31,9 +31,11 @@ CASES = {
     "phi_explain": (["phi", "--a", "2,2,2", "--J", "3", "--explain"], 0, None),
     "phi_not_subgee_explain": (["phi", "--a", "2,2", "--J", "3,4", "--explain"], 0, None),
     "phi_k0": (["phi", "--a", "", "--J", ""], 0, None),
+    "phi_explain_k7": (["phi", "--a", "2,1,3,2,1,2,2", "--J", "1,7", "--explain"], 0, None),
     "table_a222": (["table", "--a", "2,2,2"], 0, None),
     "table_a1111": (["table", "--a", "1,1,1,1"], 0, None),
     "table_k0": (["table", "--a", ""], 0, None),
+    "table_k6": (["table", "--a", "2,1,3,2,1,2"], 0, None),
     "verify_a222": (["verify", "--a", "2,2,2"], 0, None),
     "verify_k0": (["verify", "--a", ""], 0, None),
     "verify_failures": (["verify", "--a", "2,2"], 1, (1,)),

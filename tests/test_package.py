@@ -28,6 +28,7 @@ PUBLIC = {
     "pairing",
     "pairing_set",
     "pairing_by_profile",
+    "pairing_table",
     "closed_form_k3",
     "count_disjoint_subgees",
     "admissible_summands",
