@@ -17,13 +17,7 @@ from functools import cache
 from itertools import islice
 
 from .combinatorics import GeeParams, IndexSet, block_counts, is_subgee_profile, subgee_profiles
-from .duality import (
-    TopMonomial,
-    admissible_summands,
-    pairing,
-    pairing_set,
-    pairing_table,
-)
+from .duality import TopMonomial, admissible_summands, pairing_by_profile, pairing_table
 from .errors import PolyphiError, RealizationNotFoundError, SizeLimitError
 from .lengths import (
     DEFAULT_MAX_N,
@@ -69,15 +63,6 @@ def _parse_subset(text: str) -> IndexSet:
     return IndexSet(int(t) for t in _tokens(text))
 
 
-def _gee_from_args(args: argparse.Namespace) -> tuple[GeeParams, LengthVector | None]:
-    """Resolve the gee either directly or through a monogenic length vector."""
-    if getattr(args, "a", None) is not None:
-        return _parse_gee(args.a), None
-    lv = _parse_lengths(args.lengths)
-    code = genetic_code(lv, max_n=args.max_n)
-    return monogenic_gee(code), lv
-
-
 # Each command returns (exit code, payload); the payload is the JSON output.
 
 def _cmd_gene(args: argparse.Namespace) -> tuple[int, dict]:
@@ -94,18 +79,22 @@ def _cmd_gene(args: argparse.Namespace) -> tuple[int, dict]:
 
 
 def _cmd_phi(args: argparse.Namespace) -> tuple[int, dict]:
-    gee, lv = _gee_from_args(args)
-    subset = _parse_subset(args.J)
-    if lv is not None:
-        value = pairing(gee, TopMonomial(subset, lv.n))
+    if args.a is not None:
+        gee, n = _parse_gee(args.a), None
     else:
-        value = pairing_set(gee, subset)
+        lv = _parse_lengths(args.lengths)
+        gee, n = monogenic_gee(genetic_code(lv, max_n=args.max_n)), lv.n
+    subset = _parse_subset(args.J)
+    if n is not None:
+        TopMonomial(subset, n)  # the monomial must fit the top degree
     in_span = not subset or max(subset) <= gee.span
     profile = block_counts(subset, gee) if in_span else None
+    # Subscripts beyond the span name zero classes.
+    value = pairing_by_profile(gee, profile) if in_span else 0
     payload = {
         "a": list(gee.a),
         "J": list(subset.elements),
-        "n": lv.n if lv is not None else None,
+        "n": n,
         "theta": list(profile) if profile is not None else None,
         "subgee": in_span and is_subgee_profile(profile),
         "phi": value,

@@ -16,14 +16,15 @@ number C_k of them.  Listing them stays for `--explain`; a flat walk over
 admissible prefixes yields each B in O(k) steps, and its term is k lookups
 in per-block parity tuples built once per call.  `pairing_table` runs the
 DP once over the suffixes that subgee profiles share, so a whole table
-costs O(k) amortized per row instead of O(k^2).
+costs O(k) amortized per row instead of O(k^2); `table`, `verify` and
+`oracle` all read their values from it.  Nothing is memoized between
+calls: each request runs the DP afresh.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb, prod
 from operator import getitem
 
@@ -106,7 +107,6 @@ def _spread(a: int, m: int, odd: int) -> int:
     return reached
 
 
-@lru_cache(maxsize=None)
 def _profile_sum(gee: GeeParams, profile: Profile) -> int:
     """Mod-2 sum of the summand terms for this profile, by a transfer DP.
 

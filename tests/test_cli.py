@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyphi import IndexSet, relations
 from polyphi.cli import _build_parser, _cell, _json, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -54,13 +53,10 @@ def _n20_lengths() -> str:
     return ",".join(map(str, x))
 
 
-def test_gene_json_round_trip_bytes(capsys, monkeypatch):
+def test_gene_json_round_trip_bytes(capsys, flip_formula_at):
     # The golden files pin only small payloads; these are the other shapes
     # the JSON writer meets, up to a code of thousands of genes.
-    original = relations.pairing_set  # flip one value so that verify lists failures
-    monkeypatch.setattr(
-        relations, "pairing_set", lambda gee, s: original(gee, s) ^ (s == IndexSet((1,)))
-    )
+    flip_formula_at((1,))  # so that verify lists failures
     n20 = _n20_lengths()
     payloads = {}
     for argv in [

@@ -12,7 +12,6 @@ from pathlib import Path
 
 import pytest
 
-from polyphi import IndexSet, relations
 from polyphi.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "cli"
@@ -48,21 +47,12 @@ CASES = {
 }
 
 
-def flip_formula_at(monkeypatch, elements) -> None:
-    """Make the relation layer see the formula's value at one subgee flipped."""
-    original = relations.pairing_set
-    target = IndexSet(elements)
-    monkeypatch.setattr(
-        relations, "pairing_set", lambda gee, s: original(gee, s) ^ (s == target)
-    )
-
-
 @pytest.mark.parametrize("fmt", sorted(EXTENSIONS))
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_stdout(name, fmt, capsys, monkeypatch):
+def test_golden_stdout(name, fmt, capsys, flip_formula_at):
     argv, exit_code, flipped = CASES[name]
     if flipped is not None:
-        flip_formula_at(monkeypatch, flipped)
+        flip_formula_at(flipped)
     assert main([*argv, "--format", fmt]) == exit_code
     expected = (GOLDEN / f"{name}.{EXTENSIONS[fmt]}").read_bytes()
     assert capsys.readouterr().out.encode() == expected

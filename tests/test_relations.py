@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from polyphi import relations
+from polyphi import duality, relations
 from polyphi import (
     GeeParams,
     IndexSet,
@@ -192,14 +192,31 @@ def test_annihilation_failures_empty_on_valid_gees():
     [((2, 2), ()), ((2, 2), (1,)), ((1, 3, 2, 1), (2, 5)), ((2, 2, 2), (1, 3, 5))],
 )
 def test_annihilation_failures_are_the_rows_disjoint_from_a_flipped_value(
-    monkeypatch, a, flipped
+    flip_formula_at, a, flipped
 ):
     gee = GeeParams(a)
     target = IndexSet(flipped)
-    original = relations.pairing_set
-    monkeypatch.setattr(
-        relations, "pairing_set", lambda g, s: original(g, s) ^ (s == target)
-    )
+    flip_formula_at(flipped)
     expected = [s for s in enumerate_subgees(gee) if s and s.isdisjoint(target)]
     assert expected
     assert annihilation_failures(gee) == expected
+
+
+def test_relations_read_one_pairing_table_per_gee(monkeypatch):
+    tables = []
+    original = relations.pairing_table
+
+    def counting(gee):
+        tables.append(gee)
+        return original(gee)
+
+    def per_profile_dp(*args):
+        raise AssertionError("the relation layer ran the per-profile DP")
+
+    monkeypatch.setattr(relations, "pairing_table", counting)
+    monkeypatch.setattr(duality, "_profile_sum", per_profile_dp)
+    gees = [GeeParams(a) for a in [(), (2,), (2, 2, 2), (1, 3, 2, 1)]]
+    for gee in gees:
+        assert annihilation_failures(gee) == []
+        assert cross_validate(gee).agree
+    assert tables == [gee for gee in gees for _ in range(2)]
