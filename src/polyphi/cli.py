@@ -14,7 +14,7 @@ import sys
 from collections.abc import Callable
 from fractions import Fraction
 from functools import cache
-from itertools import islice
+from itertools import chain, islice
 
 from .combinatorics import GeeParams, IndexSet, block_counts, is_subgee_profile, subgee_profiles
 from .duality import TopMonomial, admissible_summands, pairing_by_profile, pairing_table
@@ -72,7 +72,7 @@ def _cmd_gene(args: argparse.Namespace) -> tuple[int, dict]:
     return 0, {
         "n": code.n,
         "generic": True,
-        "code": [list(g.descending()) for g in code.genes],
+        "code": [g.descending() for g in code.genes],
         "monogenic": code.is_monogenic,
         "a": list(gee.a) if gee is not None else None,
     }
@@ -166,14 +166,14 @@ def _cmd_realize(args: argparse.Namespace) -> tuple[int, dict]:
 # Output: one CSV cell rule, and one small text function per command.
 
 def _cell(value: object) -> str:
-    """One CSV cell: lists are space-joined and lists of lists `;`-joined,
-    bools are true/false and None is empty."""
+    """One CSV cell: lists (or tuples) are space-joined and lists of lists
+    `;`-joined, bools are true/false and None is empty."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, list):
-        if value and isinstance(value[0], list):
+    if isinstance(value, (list, tuple)):
+        if value and isinstance(value[0], (list, tuple)):
             return ";".join(" ".join(map(str, v)) for v in value)
         return " ".join(map(str, value))
     return str(value)
@@ -186,10 +186,11 @@ def _json(value: object, indent: str = "") -> str:
     """`json.dumps(value, indent=2, sort_keys=True)`, byte for byte.
 
     The standard encoder falls back to a Python generator per value once
-    it indents; here a list of plain ints is joined in one call, which is
-    most of every payload.  Dicts (with str keys), lists, tuples, str and
-    plain ints are written here; bools, None and other scalars go to
-    `json.dumps`.
+    it indents; here a list of plain ints is joined in one call, and a
+    list of nonempty lists of plain ints (a `gene` code) in one
+    comprehension: together most of every payload.  Dicts (with str
+    keys), lists, tuples, str and plain ints are written here; bools, None
+    and other scalars go to `json.dumps`.
     """
     if type(value) is int:
         return str(value)
@@ -203,8 +204,19 @@ def _json(value: object, indent: str = "") -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if {*map(type, value)} == {int}:
+        types = {*map(type, value)}
+        if types == {int}:
             body = sep.join(map(str, value))
+        elif (
+            types <= {list, tuple}
+            and all(value)
+            and {*map(type, chain.from_iterable(value))} == {int}
+        ):
+            deeper = inner + "  "
+            row_sep = ",\n" + deeper
+            body = sep.join(
+                "[\n" + deeper + row_sep.join(map(str, v)) + "\n" + inner + "]" for v in value
+            )
         else:
             body = sep.join(_json(v, inner) for v in value)
         return "[\n" + inner + body + "\n" + indent + "]"

@@ -162,29 +162,38 @@ def genetic_code(lengths: LengthVector, *, max_n: int = DEFAULT_MAX_N) -> Geneti
     member i up to an absent i+1 (n itself never moves).  Shortness is
     downward closed and any strict domination factors through such steps.
 
-    The sets are found by a depth-first search that decides the members
-    n-1, n-2, ..., 1 in turn, on an explicit stack.  An entry carries the
-    count j of undecided sides 1..j, the running sum, the members taken so
-    far as an ascending tuple (taking side j prepends it, and side j+1 is a
-    member exactly when it comes first) and the cost of the cheapest
-    enlargement already fixed by the decided sides: leaving out side j
-    fixes adding it, and taking j when j+1 is absent fixes moving j up to
-    j+1.  A child is cut before it is pushed when taking side j would make
-    the set long, or when even taking every undecided side would leave the
-    cheapest fixed enlargement short, since then no completion is maximal.
-    A fixed enlargement that costs nothing (j and j+1 have equal lengths)
-    is short whenever the set is, so a child with one is cut as well;
-    otherwise equal sides make the search exponential even when there is
-    a single gene.  When side j is too long to take, so is every
-    shorter side at or above the room left below the limit: those sides,
-    found by bisection, are left out in one step.  Leaving out a too-long
-    side fixes an enlargement that is long anyway, so the cheapest fixed
-    enlargement keeps its value.  At a leaf every enlargement is fixed, so
-    the surviving leaves are exactly the genes, and their member tuples
-    are the genes' elements.  In practice the nodes visited grow with the
-    number of genes rather than with 2^(n-1): about fifteen per gene on
-    random vectors with n = 16 to 20.  Near-equal sides still cost far
-    more: hundreds of thousands of nodes for a single gene at n = 23.
+    The sets are found by a depth-first search that decides the members n-1,
+    n-2, ..., 1 in turn, on an explicit stack.  An entry carries the count j
+    of undecided sides 1..j, the running sum, the members taken so far as an
+    ascending tuple (taking side j prepends it, and side j+1 is a member
+    exactly when it comes first) and the cost of the cheapest enlargement
+    already fixed by the decided sides: leaving out side j fixes adding it,
+    and taking j when j+1 is absent fixes moving j up to j+1.  A child is
+    cut before it is pushed when taking side j would make the set long, or
+    when no completion of it is maximal.  A completion adds a subset of the
+    child's undecided sides 1..i with some sum s (i is j-1, or less after
+    the jump below), and is a gene only if s < room, the room left below the
+    limit, and also s + cheapest >= room, since its cheapest enlargement
+    costs no more than the one already fixed.  So a child is kept when
+    reach + cheapest >= room, where reach is the largest subset sum of sides
+    1..i below room.  For i <= top = (n-1)//2, reach is read exactly by
+    bisection in sums[i], the sorted subset sums of the i shortest sides,
+    built once per call by merging sums[i-1] with its shift by side i; no
+    table holds more than 2^top entries (16,384 at n = 30), however large
+    the lengths are.  Above top, the sum of all i sides stands in for reach.
+    A fixed enlargement that costs nothing (j and j+1 have equal lengths) is
+    short whenever the set is, so a child with one is cut as well; otherwise
+    equal sides make the search exponential even when there is a single
+    gene.  When side j is too long to take, so is every shorter side at or
+    above the room left below the limit: those sides, found by bisection,
+    are left out in one step.  Leaving out a too-long side fixes an
+    enlargement that is long anyway, so the cheapest fixed enlargement keeps
+    its value.  At a leaf every enlargement is fixed, so the surviving
+    leaves are exactly the genes, and their member tuples are the genes'
+    elements.  In practice the nodes visited grow with the number of genes
+    rather than with 2^(n-1): about seven per gene on random vectors with
+    n = 16 to 20.  Near-equal sides cost more than their genes, but 27
+    sides from 1000..1050, with one gene, visit a few thousand nodes.
     """
     n = lengths.n
     if n > max_n:
@@ -196,7 +205,15 @@ def genetic_code(lengths: LengthVector, *, max_n: int = DEFAULT_MAX_N) -> Geneti
     if 2 * ints[-1] > total:
         raise EmptySpaceError(f"{{{n}}} is long, the moduli space is empty")
 
-    below = [0, *accumulate(ints[:-1])]  # below[j]: the sum of the j shortest sides
+    below = [0, *accumulate(ints[:-1])]  # below[i]: the sum of the i shortest sides
+    # Above top, sums[i] is [below[i]], which s[bisect_left(s, room) - 1]
+    # reads whichever side of room it is on.
+    top = (n - 1) // 2
+    sums = [[0]]
+    for v in ints[:top]:
+        s = sums[-1]
+        sums.append(sorted(s + [x + v for x in s]))  # timsort merges the two runs
+    sums += ([b] for b in below[top + 1:])
     limit = (total + 1) // 2  # a sum is short exactly when it is below limit
     genes: list[tuple[int, ...]] = []
     # (undecided count j, sum, ascending members, cheapest fixed enlargement);
@@ -213,19 +230,20 @@ def genetic_code(lengths: LengthVector, *, max_n: int = DEFAULT_MAX_N) -> Geneti
         if side >= room:
             # Sides t+1..j are all too long to take: leave them out together.
             t = bisect_left(ints, room, 0, i)
-            if below[t] + cheapest >= room:
+            s = sums[t]
+            if s[bisect_left(s, room) - 1] + cheapest >= room:
                 stack.append((t, cur, members, cheapest))
             continue
-        rest = below[i]
+        s = sums[i]
         # Leave out side j, which fixes adding it.
         fixed = side if side < cheapest else cheapest
-        if rest + fixed >= room:
+        if s[bisect_left(s, room) - 1] + fixed >= room:
             stack.append((i, cur, members, fixed))
         # Take side j; without side j+1 that fixes moving j up to it.
         room -= side
         if members[0] != j + 1 and ints[j] - side < cheapest:
             cheapest = ints[j] - side
-        if cheapest and rest + cheapest >= room:
+        if cheapest and s[bisect_left(s, room) - 1] + cheapest >= room:
             stack.append((i, cur + side, (j, *members), cheapest))
 
     genes.sort()  # lex, then stably by size, largest first

@@ -9,16 +9,19 @@ filtered by the suffix condition.  Subgee profiles are listed by the same
 filter, as are the suffix fillings behind both, and subgees are expanded
 from the profiles block by block and then sorted.
 A Gray-code walk over all subsets is a second genetic-code oracle,
-exhaustive where `genetic_code` prunes, and a realize search that lists
-every ascending tuple and computes the genetic code of each candidate is
-the oracle of the pruned one.
+exhaustive where `genetic_code` prunes; a third is the pruned search
+whose cut bounds only the largest completion, fast enough to check
+`genetic_code` where the Gray walk is too slow.  A realize search that
+lists every ascending tuple and computes the genetic code of each
+candidate is the oracle of the pruned one.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterator
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import accumulate, combinations, permutations, product
 from math import factorial
 
 from polyphi.combinatorics import IndexSet, binom_parity, compositions, is_subgee_profile
@@ -229,6 +232,52 @@ def genetic_code_by_gray_walk(lengths) -> GeneticCode:
 
     genes.sort(key=lambda g: (-len(g), g.elements))
     return GeneticCode(tuple(genes), n)
+
+
+def genetic_code_by_largest_completion(lengths) -> GeneticCode:
+    """`genetic_code` with the cut it had before subset-sum tables: a branch
+    is cut when taking every undecided side (the largest completion) still
+    leaves the cheapest fixed enlargement short.  Any completion that ends
+    in a gene passes this test, so the genes are the same, and the search
+    visits every node `genetic_code` visits and more.  Same ordering,
+    exceptions and messages; no size guard."""
+    n = lengths.n
+    if not is_generic(lengths):
+        raise NotGenericError("length vector is not generic")
+    ints = lengths.scaled()
+    total = sum(ints)
+    if 2 * ints[-1] > total:
+        raise EmptySpaceError(f"{{{n}}} is long, the moduli space is empty")
+
+    below = [0, *accumulate(ints[:-1])]
+    limit = (total + 1) // 2
+    genes = []
+    stack = [(n - 1, ints[-1], (n,), total)]
+    while stack:
+        j, cur, members, cheapest = stack.pop()
+        if not j:
+            genes.append(members)
+            continue
+        i = j - 1
+        side = ints[i]
+        room = limit - cur
+        if side >= room:
+            t = bisect_left(ints, room, 0, i)
+            if below[t] + cheapest >= room:
+                stack.append((t, cur, members, cheapest))
+            continue
+        rest = below[i]
+        fixed = min(side, cheapest)
+        if rest + fixed >= room:
+            stack.append((i, cur, members, fixed))
+        room -= side
+        if members[0] != j + 1:
+            cheapest = min(cheapest, ints[j] - side)
+        if cheapest and rest + cheapest >= room:
+            stack.append((i, cur + side, (j, *members), cheapest))
+
+    genes.sort(key=lambda g: (-len(g), g))
+    return GeneticCode(tuple(IndexSet(g) for g in genes), n)
 
 
 def ascending_tuples(parts: int, total: int, lo: int = 1) -> Iterator[tuple[int, ...]]:

@@ -9,7 +9,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polyphi.cli import _build_parser, _cell, _json, main
 
@@ -376,6 +376,9 @@ _payloads = st.recursive(
 
 
 @given(_payloads)
+@example([(6, 5), (6, 4, 1)])  # a gene code
+@example([[6, 5], []])  # an empty inner list is written as []
+@example([[6, 5], [True]])  # a bool is not a plain int
 @settings(max_examples=150, deadline=None)
 def test_json_writer_matches_json_dumps(value):
     assert _json(value) == json.dumps(value, indent=2, sort_keys=True)
@@ -385,13 +388,16 @@ def test_json_writer_matches_json_dumps(value):
     "value, cell",
     [
         ([5, 4], "5 4"),  # gene a, phi J and theta
-        ([[6, 5], [6, 4, 1]], "6 5;6 4 1"),  # gene code, verify failures
+        ([[6, 5], [6, 4, 1]], "6 5;6 4 1"),  # verify failures
         (["1", "3/2", "2"], "1 3/2 2"),  # realize lengths
         ([], ""),
         (True, "true"),
         (False, "false"),
         (None, ""),
         (7, "7"),
+        ([(6, 5), (6, 4, 1)], "6 5;6 4 1"),  # gene code
+        ((5, 4), "5 4"),
+        ((), ""),
     ],
 )
 def test_csv_cell_shapes(value, cell):

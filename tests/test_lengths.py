@@ -46,6 +46,7 @@ from brute import (
     brute_set_leq,
     brute_subgees,
     genetic_code_by_gray_walk,
+    genetic_code_by_largest_completion,
     realize_by_genetic_code,
     subgees_by_profile,
 )
@@ -275,9 +276,10 @@ def test_pruned_search_matches_gray_walk():
             # equal lengths make moves to the next side cost nothing
             vectors.append(_odd_total([rng.choice((1, 2, 3, 5)) for _ in range(n)]))
             vectors.append([rng.randint(1, 12) for _ in range(n)])
-        # equal and nearly equal sides: many moves cost nothing
+        # equal and nearly equal sides: many moves cost nothing or little
         vectors.append([1] * n)
-        vectors.append(_odd_total([1000 + rng.randint(0, 50) for _ in range(n)]))
+        for _ in range(3):
+            vectors.append(_odd_total([1000 + rng.randint(0, 50) for _ in range(n)]))
     vectors.append(_odd_total([rng.randint(1, 10**6) for _ in range(18)]))
     # Several equal huge sides above a few tiny ones: once about half the
     # huge sides are taken, the rest are too long and are left out in one
@@ -304,6 +306,39 @@ def test_pruned_search_matches_gray_walk():
             assert_well_formed(got)
         kinds.add(expected[0] if isinstance(expected, tuple) else GeneticCode)
     assert kinds == {GeneticCode, NotGenericError, EmptySpaceError}
+
+
+def test_subset_sum_cut_matches_largest_completion_cut():
+    # Beyond the Gray walk's reach: the cut by exact subset sums of the
+    # shortest sides against the search that bounds only the largest
+    # completion, which visits a superset of its nodes (about 1 s in all).
+    rng = random.Random(20261019)
+    for n in range(17, 24):
+        for raw in (
+            [rng.randint(1, 10**6) for _ in range(n)],
+            [rng.randint(1000, 1050) for _ in range(n)],
+            [rng.randint(1, 12) for _ in range(n)],
+        ):
+            lv = normalize(_odd_total(raw))
+            assert _outcome(genetic_code, lv) == _outcome(genetic_code_by_largest_completion, lv), raw
+
+
+def test_near_equal_27_gon_codes_within_budget():
+    # Near-equal sides make every move cheap, so most branches that could
+    # still take enough length never land within a move of the limit; the
+    # subset-sum tables cut them.  Without the tables these took seconds.
+    codes = []
+    start = time.perf_counter()
+    for seed in range(5):
+        rng = random.Random(seed)
+        raw = [0]
+        while sum(raw) % 2 == 0:
+            raw = [rng.randint(1000, 1050) for _ in range(27)]
+        codes.append(genetic_code(normalize(raw)))
+    assert time.perf_counter() - start < 1.0
+    for code in codes:
+        assert_well_formed(code)
+        assert code.is_monogenic
 
 
 def test_equilateral_31_gon_code_within_budget():
