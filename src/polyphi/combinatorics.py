@@ -1,4 +1,4 @@
-"""Combinatorial primitives: binomial parity, set domination, block profiles.
+"""Combinatorial primitives: binomial parity, index sets, block profiles.
 
 Everything here is pure and exact.  Index sets are small sets of distinct
 positive integers; profiles are tuples of nonnegative block counts.
@@ -18,7 +18,6 @@ __all__ = [
     "GeeParams",
     "Profile",
     "binom_parity",
-    "set_leq",
     "block_counts",
     "is_subgee_profile",
     "compositions",
@@ -60,23 +59,6 @@ class IndexSet:
         obj = cls.__new__(cls)
         obj.elements = elements
         return obj
-
-    @classmethod
-    def from_mask(cls, mask: int) -> IndexSet:
-        """Build from a bitmask where bit i-1 encodes membership of i."""
-        check_ints((mask,), 0, "masks are nonnegative integers")
-        return cls(i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1)
-
-    @property
-    def mask(self) -> int:
-        """Bitmask encoding: bit i-1 set iff i is a member."""
-        m = 0
-        for e in self.elements:
-            m |= 1 << (e - 1)
-        return m
-
-    def isdisjoint(self, other: IndexSet) -> bool:
-        return not set(self.elements) & set(other.elements)
 
     def descending(self) -> tuple[int, ...]:
         """Elements in decreasing order (the customary way to write gees)."""
@@ -158,20 +140,6 @@ def binom_parity(m: int, r: int) -> int:
     return 0 if (m - r) & r else 1
 
 
-def set_leq(small: IndexSet, large: IndexSet) -> bool:
-    """Domination order on integer sets.
-
-    S <= T iff T contains distinct representatives t_1, ..., t_|S| with
-    s_i <= t_i.  Equivalent greedy certificate: pair the i-th largest
-    element of S with the i-th largest element of T.
-    """
-    s, t = small.elements, large.elements
-    if len(s) > len(t):
-        return False
-    offset = len(t) - len(s)
-    return all(s[i] <= t[offset + i] for i in range(len(s)))
-
-
 def block_counts(subset: IndexSet, gee: GeeParams) -> Profile:
     """Per-block membership counts of `subset` w.r.t. the gee's partial sums.
 
@@ -181,9 +149,9 @@ def block_counts(subset: IndexSet, gee: GeeParams) -> Profile:
     prefix = gee.prefix_sums
     counts = [0] * gee.k
     for j in subset:
-        if j > gee.span:
+        if (i := bisect_left(prefix, j)) == gee.k:  # j is beyond the last partial sum
             raise OutOfRangeError(f"element {j} exceeds the gee span {gee.span}")
-        counts[bisect_left(prefix, j)] += 1
+        counts[i] += 1
     return tuple(counts)
 
 

@@ -42,7 +42,6 @@ from .errors import InfeasibleProfileError
 
 __all__ = [
     "TopMonomial",
-    "pairing",
     "pairing_set",
     "pairing_by_profile",
     "pairing_table",
@@ -74,10 +73,6 @@ class TopMonomial:
             raise ValueError(
                 f"subscript {max(self.subscripts)} exceeds n-1={self.n - 1}"
             )
-
-    @property
-    def r(self) -> int:
-        return len(self.subscripts)
 
 
 def _summands(gee: GeeParams, profile: Profile) -> Iterator[tuple[Profile, int]]:
@@ -156,15 +151,6 @@ def pairing_set(gee: GeeParams, subscripts: IndexSet) -> int:
     if subscripts and max(subscripts) > gee.span:
         return 0
     return _profile_sum(gee, block_counts(subscripts, gee))
-
-
-def pairing(gee: GeeParams, monomial: TopMonomial) -> int:
-    """Duality value of a validated top monomial.
-
-    The side count n only constrains the monomial's shape; the value
-    itself is determined by the subscripts and the gee.
-    """
-    return pairing_set(gee, monomial.subscripts)
 
 
 def pairing_by_profile(gee: GeeParams, profile: Iterable[int]) -> int:

@@ -19,7 +19,6 @@ from .errors import (
     InvalidLengthError,
     NotGenericError,
     NotMonogenicError,
-    OutOfRangeError,
     RealizationNotFoundError,
     SizeLimitError,
     TooFewSidesError,
@@ -29,7 +28,6 @@ __all__ = [
     "LengthVector",
     "GeneticCode",
     "normalize",
-    "is_short",
     "is_generic",
     "genetic_code",
     "monogenic_gee",
@@ -109,24 +107,6 @@ def normalize(raw: Iterable[Fraction | int]) -> LengthVector:
             raise InvalidLengthError(f"side lengths must be positive, got {x!r}")
         values.append(f)
     return LengthVector(tuple(sorted(values)))
-
-
-def is_short(lengths: LengthVector, subset: IndexSet) -> bool:
-    """Exact test: do the lengths indexed by `subset` sum below the rest?
-
-    Raises NotGenericError when the two sums are equal, and OutOfRangeError
-    for indices outside 1..n.
-    """
-    ints = lengths.scaled()
-    total = sum(ints)
-    acc = 0
-    for j in subset:
-        if j > lengths.n:
-            raise OutOfRangeError(f"index {j} exceeds n={lengths.n}")
-        acc += ints[j - 1]
-    if 2 * acc == total:
-        raise NotGenericError(f"subset {subset} sums to exactly half the perimeter")
-    return 2 * acc < total
 
 
 def is_generic(lengths: LengthVector) -> bool:
@@ -371,8 +351,8 @@ def realize_gee(gee: GeeParams, search_bound: int = DEFAULT_SEARCH_BOUND) -> Len
     side count n runs from max(3, span+1) up to a window of k+2 beyond that
     minimum (larger n only helps when the gene needs more slack below it),
     and sorted positive integer vectors for that (total, n) are tried in
-    lexicographic order.  The first vector whose genetic code round-trips
-    to the requested gene wins, so results are deterministic.
+    lexicographic order.  The first vector that passes the tests below
+    wins, so results are deterministic.
 
     A vector has the single gene G = gee + {n} exactly when the short sets
     containing n are the sets G dominates: G is short, and S + {n} is long
@@ -383,10 +363,9 @@ def realize_gee(gee: GeeParams, search_bound: int = DEFAULT_SEARCH_BOUND) -> Len
     The vectors that pass both tests are listed in lexicographic order by
     `_passing_vectors`, which cuts a prefix as soon as a bound shows that
     no completion passes; the cuts never drop a passing vector, so they do
-    not change which vector wins.  A passing vector has the requested code,
-    so `genetic_code`, which still confirms the winner, runs once per
-    successful search, and without its `max_n` guard: the code it lists
-    has one gene, however large n is.
+    not change which vector wins.  A passing vector has the requested code;
+    `genetic_code` confirms the winner, raising AssertionError on a mismatch,
+    without its `max_n` guard: the code it lists has one gene, whatever n is.
 
     Raises RealizationNotFoundError when no candidate with total length
     <= search_bound realizes the code.
@@ -403,12 +382,9 @@ def realize_gee(gee: GeeParams, search_bound: int = DEFAULT_SEARCH_BOUND) -> Len
             target, tables = searches[n]
             for parts in _passing_vectors(n, total, tables):
                 candidate = LengthVector(tuple(Fraction(p) for p in parts))
-                try:
-                    code = genetic_code(candidate, max_n=n)
-                except (NotGenericError, EmptySpaceError):
-                    continue
-                if code == target:
-                    return candidate
+                if genetic_code(candidate, max_n=n) != target:
+                    raise AssertionError(f"{parts} does not realize gee {gee.a}")
+                return candidate
     raise RealizationNotFoundError(
         f"no integer length vector with total <= {search_bound} realizes gee {gee.a}"
     )

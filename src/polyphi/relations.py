@@ -1,10 +1,13 @@
 """The complete relation set over the subgee basis and its GF(2) nullspace.
 
 Top-degree relations are indexed by nonempty subgees I: the sum of all
-monomials for subgees disjoint from I vanishes.  Any functional killing
-every relation spans a one-dimensional nullspace, which pins down the
-duality functional uniquely; solving for it gives an oracle that is
-independent of the combinatorial formula and can certify it pointwise.
+monomials for subgees disjoint from I vanishes.  Subgees are closed under
+subsets, so subgees I and K share 2^|I & K| subsets, odd exactly when they
+are disjoint: over GF(2) the disjointness matrix on the N subgees is Z.Z^T,
+where Z[I][K] = [K is a subset of I] is unitriangular in (size, lex) order.
+So the relations (all rows but the empty set's) have rank N - 1, and their
+nullspace, spanned by phi(J) = #{subgees containing J} mod 2, pins down the
+duality functional: solving for it certifies the formula independently.
 """
 
 from __future__ import annotations
@@ -51,9 +54,6 @@ class RelationMatrix:
             raise ValueError("one bitmask per row required")
         if any(b < 0 or b.bit_length() > len(self.columns) for b in self.bits):
             raise ValueError("row bits exceed the column count")
-
-    def entry(self, i: int, j: int) -> int:
-        return (self.bits[i] >> j) & 1
 
 
 @dataclass

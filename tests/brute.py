@@ -2,6 +2,8 @@
 
 Everything here works on plain tuples/frozensets and deliberately avoids the
 library's algorithms: domination is decided by trying every injection,
+and by the greedy pairing `greedy_set_leq`, which is checked against it;
+shortness by summing the scaled lengths;
 genetic codes by pairwise maximality over all subsets, binomials by exact
 falling factorials.  The duality sum is kept in its defining form, built
 from the library's primitives: every composition of the right size,
@@ -56,6 +58,23 @@ def brute_set_leq(small, large) -> bool:
             if all(x <= y for x, y in zip(s, perm)):
                 return True
     return False
+
+
+def greedy_set_leq(small, large) -> bool:
+    """Domination by pairing the i-th largest element of `small` with the
+    i-th largest of `large`."""
+    s, t = sorted(small), sorted(large)
+    return len(s) <= len(t) and all(x <= y for x, y in zip(s, t[len(t) - len(s):]))
+
+
+def is_short(lengths, subset) -> bool:
+    """Do the lengths indexed by `subset` sum below the rest?  Raises
+    NotGenericError when the two sums are equal."""
+    ints = lengths.scaled()
+    twice, total = 2 * sum(ints[j - 1] for j in subset), sum(ints)
+    if twice == total:
+        raise NotGenericError(f"subset {subset} sums to exactly half the perimeter")
+    return twice < total
 
 
 def theta_of(subset, increments) -> tuple[int, ...]:

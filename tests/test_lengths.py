@@ -19,19 +19,16 @@ from polyphi import (
     enumerate_subgees,
     genetic_code,
     is_generic,
-    is_short,
     is_subgee_profile,
     monogenic_gee,
     normalize,
     realize_gee,
-    set_leq,
 )
 from polyphi.errors import (
     EmptySpaceError,
     InvalidLengthError,
     NotGenericError,
     NotMonogenicError,
-    OutOfRangeError,
     RealizationNotFoundError,
     SizeLimitError,
     TooFewSidesError,
@@ -47,6 +44,8 @@ from brute import (
     brute_subgees,
     genetic_code_by_gray_walk,
     genetic_code_by_largest_completion,
+    greedy_set_leq,
+    is_short,
     realize_by_genetic_code,
     subgees_by_profile,
 )
@@ -92,7 +91,7 @@ def test_length_vector_rejects_unsorted_direct_construction():
         LengthVector((Fraction(2), Fraction(1), Fraction(3)))
 
 
-# ------------------------------------------------------------------ is_short
+# ---------------------------------------------- is_short, a helper of the tests
 
 def test_is_short_examples():
     lv = normalize([1, 1, 1, 1, 1])
@@ -104,11 +103,6 @@ def test_is_short_examples():
 def test_is_short_ties_raise():
     with pytest.raises(NotGenericError):
         is_short(normalize([1, 1, 2]), IndexSet([3]))
-
-
-def test_is_short_out_of_range():
-    with pytest.raises(OutOfRangeError):
-        is_short(normalize([1, 1, 1]), IndexSet([4]))
 
 
 # ---------------------------------------------------------------- is_generic
@@ -241,10 +235,10 @@ def test_code_soundness_completeness_incomparability():
         for mask in range(1 << (n - 1)):
             s = IndexSet([n] + [i + 1 for i in range(n - 1) if (mask >> i) & 1])
             if is_short(lv, s):
-                assert any(set_leq(s, g) for g in genes), s
+                assert any(greedy_set_leq(s, g) for g in genes), s
         # incomparability
         for g1, g2 in combinations(genes, 2):
-            assert not set_leq(g1, g2) and not set_leq(g2, g1)
+            assert not greedy_set_leq(g1, g2) and not greedy_set_leq(g2, g1)
     assert checked >= 20
 
 
@@ -389,7 +383,7 @@ def test_genes_are_short_maximal_and_incomparable(lv):
         for bigger in enlargements:
             assert not is_short(lv, bigger), (g, bigger)
     for g1, g2 in combinations(genes, 2):
-        assert not set_leq(g1, g2) and not set_leq(g2, g1)
+        assert not greedy_set_leq(g1, g2) and not greedy_set_leq(g2, g1)
 
 
 # ------------------------------------------------------------- monogenic_gee
@@ -582,4 +576,4 @@ def test_subgee_criterion_random(increments, data):
         if span
         else ()
     )
-    assert is_subgee_profile(block_counts(subset, gee)) == set_leq(subset, gee.gee())
+    assert is_subgee_profile(block_counts(subset, gee)) == greedy_set_leq(subset, gee.gee())

@@ -1,4 +1,4 @@
-"""The package's public surface, and its standard-library-only imports."""
+"""The package's public surface, and its standard-library-only, all-used imports."""
 
 from __future__ import annotations
 
@@ -18,14 +18,12 @@ PUBLIC = {
     "GeeParams",
     "Profile",
     "binom_parity",
-    "set_leq",
     "block_counts",
     "is_subgee_profile",
     "compositions",
     "subgee_profiles",
     # duality
     "TopMonomial",
-    "pairing",
     "pairing_set",
     "pairing_by_profile",
     "pairing_table",
@@ -47,7 +45,6 @@ PUBLIC = {
     "LengthVector",
     "GeneticCode",
     "normalize",
-    "is_short",
     "is_generic",
     "genetic_code",
     "monogenic_gee",
@@ -102,3 +99,18 @@ def test_package_imports_only_the_standard_library():
                 continue
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+
+
+def test_package_modules_use_every_name_they_import():
+    for path in sorted(Path(polyphi.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            if alias.name != "*"
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, (path.name, sorted(imported - used))

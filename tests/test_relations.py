@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import combinations, product
+
 import pytest
 
 from polyphi import duality, relations
@@ -38,7 +41,7 @@ def test_build_matrix_single_block_of_one():
 def test_build_matrix_single_block_of_two():
     m = build_matrix(GeeParams((2,)))
     assert [c.elements for c in m.columns] == [(), (1,), (2,)]
-    assert [[m.entry(i, j) for j in range(3)] for i in range(2)] == [
+    assert [[(m.bits[i] >> j) & 1 for j in range(3)] for i in range(2)] == [
         [1, 0, 1],
         [1, 1, 0],
     ]
@@ -82,17 +85,17 @@ def test_build_matrix_bits_match_pairwise_disjointness(a):
     assert m.rows == m.columns[1:]
     for i, row in enumerate(m.rows):
         for j, column in enumerate(m.columns):
-            assert m.entry(i, j) == int(row.isdisjoint(column)), (row, column)
+            assert (m.bits[i] >> j) & 1 == int(set(row).isdisjoint(column)), (row, column)
 
 
 def test_matrix_disjointness_symmetric():
     m = build_matrix(GeeParams((2, 2)))
     n_rows = len(m.rows)
-    # rows[i] == columns[i+1], so symmetry reads entry(i, j+1) == entry(j, i+1)
+    # rows[i] == columns[i+1], so symmetry reads bit j+1 of row i == bit i+1 of row j
     for i in range(n_rows):
-        assert m.entry(i, 0) == 1  # the empty set is disjoint from everything
+        assert m.bits[i] & 1  # the empty set is disjoint from everything
         for j in range(n_rows):
-            assert m.entry(i, j + 1) == m.entry(j, i + 1)
+            assert (m.bits[i] >> (j + 1)) & 1 == (m.bits[j] >> (i + 1)) & 1
 
 
 def test_row_weight_matches_counting_formula():
@@ -121,6 +124,19 @@ def test_nullspace_unique_for_single_block_of_one():
     dim, values = nullspace_functional(build_matrix(GeeParams((1,))))
     assert dim == 1
     assert values == {IndexSet(): 0, IndexSet([1]): 1}
+
+
+def test_nullspace_is_the_parity_of_the_subgees_above():
+    # The oracle for the oracle: phi(J) = #{subgees I containing J} mod 2
+    # spans the nullspace, as the relations module docstring shows.
+    gees = [a for k in range(4) for a in product(range(1, 4), repeat=k)]
+    for a in [*gees, (1, 1, 1, 1), (2, 1, 2, 1), (1, 3, 1, 2), (2, 2, 2, 2)]:
+        matrix = build_matrix(GeeParams(a))
+        above = Counter(
+            j for i in matrix.columns for r in range(len(i) + 1) for j in combinations(i, r)
+        )
+        expected = {j: above[j.elements] & 1 for j in matrix.columns}
+        assert nullspace_functional(matrix) == (1, expected), a
 
 
 def test_nullspace_degenerate_no_rows():
@@ -197,7 +213,7 @@ def test_annihilation_failures_are_the_rows_disjoint_from_a_flipped_value(
     gee = GeeParams(a)
     target = IndexSet(flipped)
     flip_formula_at(flipped)
-    expected = [s for s in enumerate_subgees(gee) if s and s.isdisjoint(target)]
+    expected = [s for s in enumerate_subgees(gee) if s and set(s).isdisjoint(target)]
     assert expected
     assert annihilation_failures(gee) == expected
 
