@@ -7,8 +7,6 @@ fails (or a realization search is exhausted), 2 on input or contract errors.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from collections.abc import Callable
@@ -17,7 +15,7 @@ from functools import cache
 from itertools import chain, islice
 
 from .combinatorics import GeeParams, IndexSet, block_counts, is_subgee_profile, subgee_profiles
-from .duality import TopMonomial, admissible_summands, pairing_by_profile, pairing_table
+from .duality import TopMonomial, admissible_summands, pairing_set, pairing_table
 from .errors import PolyphiError, RealizationNotFoundError, SizeLimitError
 from .lengths import (
     DEFAULT_MAX_N,
@@ -89,15 +87,13 @@ def _cmd_phi(args: argparse.Namespace) -> tuple[int, dict]:
         TopMonomial(subset, n)  # the monomial must fit the top degree
     in_span = not subset or max(subset) <= gee.span
     profile = block_counts(subset, gee) if in_span else None
-    # Subscripts beyond the span name zero classes.
-    value = pairing_by_profile(gee, profile) if in_span else 0
     payload = {
         "a": list(gee.a),
         "J": list(subset.elements),
         "n": n,
         "theta": list(profile) if profile is not None else None,
         "subgee": in_span and is_subgee_profile(profile),
-        "phi": value,
+        "phi": pairing_set(gee, subset),
     }
     if args.explain and profile is not None:
         payload["explain"] = [
@@ -304,17 +300,10 @@ def _render(
     if fmt == "json":
         return _json(payload) + "\n"
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for record in payload.get("rows", [payload]):
-            writer.writerow([_cell(record[c]) for c in columns])
-        return buf.getvalue()
+        # As csv.writer wrote it: no cell holds a comma, quote or newline, and rows have 2+ cells.
+        rows = [columns] + [[_cell(r[c]) for c in columns] for r in payload.get("rows", [payload])]
+        return "".join(",".join(row) + "\n" for row in rows)
     return "".join(line + "\n" for line in text(payload))
-
-
-def _add_format(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=["text", "json", "csv"], default="text")
 
 
 @cache  # built on the first call, then shared: parse_args leaves the parser unchanged
@@ -329,7 +318,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gene = sub.add_parser("gene", help="compute the genetic code of a length vector")
     p_gene.add_argument("--lengths", required=True, help="comma-separated rationals, e.g. 1,1,1/2,3")
     p_gene.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, dest="max_n")
-    _add_format(p_gene)
 
     p_phi = sub.add_parser("phi", help="evaluate the duality functional on a monomial")
     src = p_phi.add_mutually_exclusive_group(required=True)
@@ -338,31 +326,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p_phi.add_argument("--J", required=True, help="subscript set, e.g. 1,3 (empty string for none)")
     p_phi.add_argument("--explain", action="store_true", help="list the contributing summand profiles")
     p_phi.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, dest="max_n")
-    _add_format(p_phi)
 
     p_table = sub.add_parser("table", help="tabulate the functional over all block profiles")
     p_table.add_argument("--a", required=True)
     p_table.add_argument("--max-basis", type=int, default=DEFAULT_MAX_BASIS, dest="max_basis")
-    _add_format(p_table)
 
     p_verify = sub.add_parser("verify", help="check that the formula annihilates every relation")
     p_verify.add_argument("--a", required=True)
     p_verify.add_argument("--max-basis", type=int, default=DEFAULT_MAX_BASIS, dest="max_basis")
-    _add_format(p_verify)
 
     p_oracle = sub.add_parser("oracle", help="solve the relation nullspace and compare with the formula")
     p_oracle.add_argument("--a", required=True)
     p_oracle.add_argument("--max-basis", type=int, default=DEFAULT_MAX_BASIS, dest="max_basis")
     p_oracle.add_argument("--explain", action="store_true", help="include per-subgee values")
-    _add_format(p_oracle)
 
     p_realize = sub.add_parser("realize", help="search for a length vector with the given single gee")
     p_realize.add_argument("--a", required=True)
     p_realize.add_argument(
         "--bound", type=int, default=DEFAULT_SEARCH_BOUND, help="maximum total integer length to try"
     )
-    _add_format(p_realize)
 
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=["text", "json", "csv"], default="text")
     return parser
 
 

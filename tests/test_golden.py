@@ -8,6 +8,7 @@ stdout lives in `golden/cli/<case>.<ext>`.
 
 from __future__ import annotations
 
+import csv
 from pathlib import Path
 
 import pytest
@@ -56,3 +57,14 @@ def test_golden_stdout(name, fmt, capsys, flip_formula_at):
     assert main([*argv, "--format", fmt]) == exit_code
     expected = (GOLDEN / f"{name}.{EXTENSIONS[fmt]}").read_bytes()
     assert capsys.readouterr().out.encode() == expected
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.csv")), ids=lambda p: p.name)
+def test_golden_csv_needs_no_quoting(path):
+    """Joining cells with commas writes what `csv.writer` would."""
+    lines = path.read_text().splitlines(keepends=True)
+    rows = list(csv.reader(lines))
+    assert len(rows) == len(lines) >= 2
+    for line, row in zip(lines, rows):
+        assert len(row) == len(rows[0])
+        assert ",".join(row) + "\n" == line

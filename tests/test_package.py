@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import sys
 from pathlib import Path
+
+import pytest
 
 import polyphi
 from polyphi import cli, combinatorics, duality, errors, lengths, relations
@@ -114,3 +117,27 @@ def test_package_modules_use_every_name_they_import():
         }
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= used, (path.name, sorted(imported - used))
+
+
+def test_benchmark_traced_names_resolve():
+    """Every `module.attr` the benchmark tracer wraps exists in the package.
+
+    The tuples are read from the tracer's source, not imported, so a tracer
+    without them (or no tracer at all) skips this test instead of failing it.
+    """
+    path = Path(__file__).parent.parent / "perfbench" / "tracing.py"
+    if not path.is_file():
+        pytest.skip("no perfbench/tracing.py")
+    tuples = {
+        target.id: node.value
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id in ("TIMED", "COUNTED")
+    }
+    if len(tuples) < 2:
+        pytest.skip("perfbench/tracing.py defines no TIMED or no COUNTED tuple")
+    for value in tuples.values():
+        for name in ast.literal_eval(value):
+            module, attr = name.split(".")
+            assert hasattr(importlib.import_module(f"polyphi.{module}"), attr), name
