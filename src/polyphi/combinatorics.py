@@ -1,14 +1,14 @@
 """Combinatorial primitives: binomial parity, index sets, block profiles.
 
 Everything here is pure and exact.  Index sets are small sets of distinct
-positive integers; profiles are tuples of nonnegative block counts.
+positive integers; profiles are tuples of nonnegative block counts; `_Value`
+is the `__slots__` base that compares, hashes and prints the record classes.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .errors import OutOfRangeError
@@ -62,7 +62,7 @@ class IndexSet:
 
     def descending(self) -> tuple[int, ...]:
         """Elements in decreasing order (the customary way to write gees)."""
-        return tuple(reversed(self.elements))
+        return self.elements[::-1]
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.elements)
@@ -85,17 +85,47 @@ class IndexSet:
         return f"IndexSet({{{', '.join(map(str, self.elements))}}})"
 
 
-@dataclass(frozen=True)
-class GeeParams:
+class _Value:
+    """Record base: the `__slots__` fields, set by `_set`, give eq, hash, repr and pickling."""
+
+    __slots__ = ()
+
+    def _set(self, *values: object) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._fields()
+
+    def __eq__(self, other: object) -> bool:
+        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class GeeParams(_Value):
     """Positive increments (a1, ..., ak) whose partial sums form a gee.
 
     The gee is {a1, a1+a2, ..., a1+...+ak}; k = 0 encodes the empty gee.
     """
 
-    a: tuple[int, ...] = ()
+    __slots__ = ("a",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", tuple(self.a))
+    def __init__(self, a: Iterable[int] = ()) -> None:
+        self._set(tuple(a))
         check_ints(self.a, 1, "gee increments must be positive integers")
 
     @property
@@ -117,11 +147,7 @@ class GeeParams:
     @classmethod
     def from_gee(cls, gee: IndexSet) -> GeeParams:
         """Recover the increments from a gee (differences of sorted elements)."""
-        increments, prev = [], 0
-        for g in gee:
-            increments.append(g - prev)
-            prev = g
-        return cls(tuple(increments))
+        return cls(g - prev for prev, g in zip((0, *gee.elements), gee.elements))
 
 
 def binom_parity(m: int, r: int) -> int:

@@ -24,7 +24,6 @@ calls: each request runs the DP afresh.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from math import comb, prod
 from operator import getitem
 
@@ -32,6 +31,7 @@ from .combinatorics import (
     GeeParams,
     IndexSet,
     Profile,
+    _Value,
     binom_parity,
     block_counts,
     check_ints,
@@ -51,8 +51,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TopMonomial:
+class TopMonomial(_Value):
     """A top-degree monomial, recorded by its distinct generator subscripts.
 
     With n sides the top degree is n-3; a monomial with r subscripts
@@ -60,19 +59,16 @@ class TopMonomial:
     every subscript is at most n-1.
     """
 
-    subscripts: IndexSet
-    n: int
+    __slots__ = ("subscripts", "n")
 
-    def __post_init__(self) -> None:
-        if self.n < 3:
-            raise ValueError(f"need n >= 3, got n={self.n}")
-        r = len(self.subscripts)
-        if r > self.n - 3:
-            raise ValueError(f"{r} subscripts exceed the top degree {self.n - 3}")
-        if self.subscripts and max(self.subscripts) > self.n - 1:
-            raise ValueError(
-                f"subscript {max(self.subscripts)} exceeds n-1={self.n - 1}"
-            )
+    def __init__(self, subscripts: IndexSet, n: int) -> None:
+        self._set(subscripts, n)
+        if n < 3:
+            raise ValueError(f"need n >= 3, got n={n}")
+        if (r := len(subscripts)) > n - 3:
+            raise ValueError(f"{r} subscripts exceed the top degree {n - 3}")
+        if subscripts and max(subscripts) > n - 1:
+            raise ValueError(f"subscript {max(subscripts)} exceeds n-1={n - 1}")
 
 
 def _summands(gee: GeeParams, profile: Profile) -> Iterator[tuple[Profile, int]]:

@@ -8,12 +8,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
 
-from .combinatorics import GeeParams, IndexSet, check_ints
+from .combinatorics import GeeParams, IndexSet, _Value, check_ints
 from .errors import (
     EmptySpaceError,
     InvalidLengthError,
@@ -43,14 +42,13 @@ DEFAULT_MAX_N = 30
 DEFAULT_SEARCH_BOUND = 40
 
 
-@dataclass(frozen=True)
-class LengthVector:
+class LengthVector(_Value):
     """Exact positive side lengths, sorted ascending."""
 
-    lengths: tuple[Fraction, ...]
+    __slots__ = ("lengths",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lengths", tuple(self.lengths))
+    def __init__(self, lengths: Iterable[Fraction]) -> None:
+        self._set(tuple(lengths))
         if len(self.lengths) < 3:
             raise TooFewSidesError(f"need at least 3 sides, got {len(self.lengths)}")
         for x in self.lengths:
@@ -69,17 +67,16 @@ class LengthVector:
         return tuple(f.numerator * (denom // f.denominator) for f in self.lengths)
 
 
-@dataclass(frozen=True)
-class GeneticCode:
+class GeneticCode(_Value):
     """The maximal short subsets containing n, in (size desc, lex) order."""
 
-    genes: tuple[IndexSet, ...]
-    n: int
+    __slots__ = ("genes", "n")
 
-    def __post_init__(self) -> None:
-        for g in self.genes:
-            if self.n not in g:
-                raise ValueError(f"gene {g} does not contain n={self.n}")
+    def __init__(self, genes: tuple[IndexSet, ...], n: int) -> None:
+        self._set(genes, n)
+        for g in genes:
+            if n not in g.elements:
+                raise ValueError(f"gene {g} does not contain n={n}")
 
     @property
     def is_monogenic(self) -> bool:

@@ -12,12 +12,11 @@ duality functional: solving for it certifies the formula independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from math import comb, prod
 from operator import and_
 
-from .combinatorics import GeeParams, IndexSet, block_counts, subgee_profiles
+from .combinatorics import GeeParams, IndexSet, _Value, block_counts, subgee_profiles
 from .duality import pairing_table
 from .errors import SizeLimitError
 from .lengths import enumerate_subgees
@@ -36,8 +35,7 @@ __all__ = [
 DEFAULT_MAX_BASIS = 20000
 
 
-@dataclass(frozen=True)
-class RelationMatrix:
+class RelationMatrix(_Value):
     """Dense GF(2) relation matrix with one bitmask per row.
 
     Columns are all subgees in (size, lex) order; rows are the nonempty
@@ -45,28 +43,29 @@ class RelationMatrix:
     disjoint from rows[i].
     """
 
-    columns: tuple[IndexSet, ...]
-    rows: tuple[IndexSet, ...]
-    bits: tuple[int, ...]
+    __slots__ = ("columns", "rows", "bits")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, columns: tuple[IndexSet, ...], rows: tuple[IndexSet, ...], bits: tuple[int, ...]
+    ) -> None:
+        self._set(columns, rows, bits)
         if len(self.bits) != len(self.rows):
             raise ValueError("one bitmask per row required")
         if any(b < 0 or b.bit_length() > len(self.columns) for b in self.bits):
             raise ValueError("row bits exceed the column count")
 
 
-@dataclass
-class DualityReport:
+class DualityReport(_Value):
     """Outcome of cross-validating the formula against the nullspace oracle."""
 
-    gee: GeeParams
-    basis_size: int
-    rank: int
-    nullspace_dim: int
-    oracle: dict[IndexSet, int] | None
-    formula: dict[IndexSet, int]
-    agree: bool
+    __slots__ = ("gee", "basis_size", "rank", "nullspace_dim", "oracle", "formula", "agree")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(
+        self, gee: GeeParams, basis_size: int, rank: int, nullspace_dim: int,
+        oracle: dict[IndexSet, int] | None, formula: dict[IndexSet, int], agree: bool,
+    ) -> None:
+        self._set(gee, basis_size, rank, nullspace_dim, oracle, formula, agree)
 
 
 def subgee_count(gee: GeeParams) -> int:

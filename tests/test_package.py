@@ -1,16 +1,36 @@
-"""The package's public surface, and its standard-library-only, all-used imports."""
+"""The package's public surface, its standard-library-only, all-used imports,
+and the value semantics of its record classes."""
 
 from __future__ import annotations
 
 import ast
+import copy
 import importlib
+import os
+import pickle
+import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import polyphi
-from polyphi import cli, combinatorics, duality, errors, lengths, relations
+from polyphi import (
+    DualityReport,
+    GeeParams,
+    GeneticCode,
+    IndexSet,
+    LengthVector,
+    RelationMatrix,
+    TopMonomial,
+    cli,
+    combinatorics,
+    duality,
+    errors,
+    lengths,
+    relations,
+)
 
 # The modules whose `__all__` the package re-exports.
 EXPORTING = (combinatorics, duality, errors, lengths, relations)
@@ -141,3 +161,110 @@ def test_benchmark_traced_names_resolve():
         for name in ast.literal_eval(value):
             module, attr = name.split(".")
             assert hasattr(importlib.import_module(f"polyphi.{module}"), attr), name
+
+
+def test_importing_the_cli_skips_dataclasses_and_inspect():
+    """The CLI's cold start stays clear of the heavy introspection modules."""
+    src = Path(polyphi.__file__).parent.parent
+    code = (
+        "import sys, polyphi.cli; "
+        "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.split() == []
+
+
+# One case per value class: positional arguments, the same by keyword, its
+# exact repr, whether it is frozen, and field values that make it unequal.
+VALUE_CASES = [
+    (GeeParams, ((2, 2),), {"a": [2, 2]}, "GeeParams(a=(2, 2))", True, ((2, 1),)),
+    (
+        TopMonomial,
+        (IndexSet([1, 2]), 6),
+        {"subscripts": IndexSet([2, 1]), "n": 6},
+        "TopMonomial(subscripts=IndexSet({1, 2}), n=6)",
+        True,
+        (IndexSet([1, 2]), 7),
+    ),
+    (
+        LengthVector,
+        ((Fraction(1), Fraction(3, 2), Fraction(2)),),
+        {"lengths": [Fraction(1), Fraction(3, 2), Fraction(2)]},
+        "LengthVector(lengths=(Fraction(1, 1), Fraction(3, 2), Fraction(2, 1)))",
+        True,
+        ((Fraction(1), Fraction(1), Fraction(1)),),
+    ),
+    (
+        GeneticCode,
+        ((IndexSet([1, 4]),), 4),
+        {"genes": (IndexSet([4, 1]),), "n": 4},
+        "GeneticCode(genes=(IndexSet({1, 4}),), n=4)",
+        True,
+        ((IndexSet([2, 4]),), 4),
+    ),
+    (
+        RelationMatrix,
+        ((IndexSet(), IndexSet([1])), (IndexSet([1]),), (1,)),
+        {"columns": (IndexSet(), IndexSet([1])), "rows": (IndexSet([1]),), "bits": (1,)},
+        "RelationMatrix(columns=(IndexSet({}), IndexSet({1})), rows=(IndexSet({1}),), bits=(1,))",
+        True,
+        ((IndexSet(), IndexSet([1])), (IndexSet([1]),), (0,)),
+    ),
+    (
+        DualityReport,
+        (GeeParams((1,)), 2, 1, 1, None, {IndexSet([1]): 1}, True),
+        {
+            "gee": GeeParams((1,)),
+            "basis_size": 2,
+            "rank": 1,
+            "nullspace_dim": 1,
+            "oracle": None,
+            "formula": {IndexSet([1]): 1},
+            "agree": True,
+        },
+        "DualityReport(gee=GeeParams(a=(1,)), basis_size=2, rank=1, nullspace_dim=1,"
+        " oracle=None, formula={IndexSet({1}): 1}, agree=True)",
+        False,
+        (GeeParams((1,)), 2, 1, 1, None, {IndexSet([1]): 1}, False),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, args, kwargs, text, frozen, other_args",
+    VALUE_CASES,
+    ids=[case[0].__name__ for case in VALUE_CASES],
+)
+def test_value_class_semantics(cls, args, kwargs, text, frozen, other_args):
+    value, same, other = cls(*args), cls(**kwargs), cls(*other_args)
+    assert value == same and not value != same
+    assert value != other and not value == other
+    assert repr(value) == text == repr(same)
+    assert value != args and value != tuple(kwargs.values())
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is cls and twin == value
+    for case in VALUE_CASES:
+        if case[0] is not cls:
+            assert value.__eq__(case[0](*case[1])) is NotImplemented
+    name = next(iter(kwargs))
+    if frozen:
+        assert hash(value) == hash(same)
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(other, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert value == same
+    else:
+        with pytest.raises(TypeError):
+            hash(value)
+        for field in kwargs:
+            setattr(value, field, getattr(other, field))
+        assert value == other and value != same
+
+
+def test_gee_params_defaults_to_the_empty_gee():
+    assert GeeParams() == GeeParams(()) == GeeParams(a=[])
+    assert repr(GeeParams()) == "GeeParams(a=())"
