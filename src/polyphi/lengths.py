@@ -41,6 +41,10 @@ DEFAULT_MAX_N = 30
 # `realize_gee` tries integer length vectors up to this total by default.
 DEFAULT_SEARCH_BOUND = 40
 
+# `genetic_code` reads its last levels from tables of up to 2^_TABLE_DEPTH
+# subsets built per call; deeper tables cost more than the walk they save.
+_TABLE_DEPTH = 8
+
 
 class LengthVector(_Value):
     """Exact positive side lengths, sorted ascending."""
@@ -140,7 +144,7 @@ def genetic_code(lengths: LengthVector, *, max_n: int = DEFAULT_MAX_N) -> Geneti
     downward closed and any strict domination factors through such steps.
 
     The sets are found by a depth-first search that decides the members n-1,
-    n-2, ..., 1 in turn, on an explicit stack.  An entry carries the count j
+    n-2, ... in turn, on an explicit stack.  An entry carries the count j
     of undecided sides 1..j, the running sum, the members taken so far as an
     ascending tuple (taking side j prepends it, and side j+1 is a member
     exactly when it comes first) and the cost of the cheapest enlargement
@@ -155,22 +159,32 @@ def genetic_code(lengths: LengthVector, *, max_n: int = DEFAULT_MAX_N) -> Geneti
     reach + cheapest >= room, where reach is the largest subset sum of sides
     1..i below room.  For i <= top = (n-1)//2, reach is read exactly by
     bisection in sums[i], the sorted subset sums of the i shortest sides,
-    built once per call by merging sums[i-1] with its shift by side i; no
-    table holds more than 2^top entries (16,384 at n = 30), however large
-    the lengths are.  Above top, the sum of all i sides stands in for reach.
-    A fixed enlargement that costs nothing (j and j+1 have equal lengths) is
-    short whenever the set is, so a child with one is cut as well; otherwise
-    equal sides make the search exponential even when there is a single
-    gene.  When side j is too long to take, so is every shorter side at or
-    above the room left below the limit: those sides, found by bisection,
-    are left out in one step.  Leaving out a too-long side fixes an
-    enlargement that is long anyway, so the cheapest fixed enlargement keeps
-    its value.  At a leaf every enlargement is fixed, so the surviving
-    leaves are exactly the genes, and their member tuples are the genes'
-    elements.  In practice the nodes visited grow with the number of genes
-    rather than with 2^(n-1): about seven per gene on random vectors with
-    n = 16 to 20.  Near-equal sides cost more than their genes, but 27
-    sides from 1000..1050, with one gene, visit a few thousand nodes.
+    built once per call; no table holds more than 2^top entries (16,384 at
+    n = 30), however large the lengths are.  Above top, the sum of all i
+    sides stands in for reach.  A fixed enlargement that costs nothing (j
+    and j+1 have equal lengths) is short whenever the set is, so a child
+    with one is cut as well; otherwise equal sides make the search
+    exponential even when there is a single gene.  When side j is too long
+    to take, so is every shorter side at or above the room left below the
+    limit: those sides, found by bisection, are left out in one step.
+    Leaving out a too-long side fixes an enlargement that is long anyway,
+    so the cheapest fixed enlargement keeps its value.
+
+    The last d = min(top, 8) levels are read, not walked.  For j <= d, a
+    table built once per call lists every subset T of sides 1..j by sum,
+    with the sum plus the cheapest enlargement inside 1..j (adding an absent
+    side, or moving a member t up to an absent t+1 <= j), and in a second
+    column also moving j up to j+1.  Leaving out side j fixes adding it and
+    lets j-1 move up to it, taking j stops that move, so each table follows
+    from the one before in O(2^j) steps; sums[j] holds its sums.  Below a
+    node at j <= d, the genes add to its members each T whose sum lies in
+    [room - cheapest, room), found by bisection, and whose column (the
+    second when j+1 is absent) reads at least room.  In practice the search
+    grows with the number of genes rather than with 2^(n-1): on random
+    vectors with n = 16 to 20 it visits under one node per gene above level
+    d, and reads a table once per two genes.  Near-equal sides cost more
+    than their genes, but 27 sides from 1000..1050, with one gene, visit a
+    few thousand nodes.
     """
     n = lengths.n
     if n > max_n:
@@ -183,27 +197,51 @@ def genetic_code(lengths: LengthVector, *, max_n: int = DEFAULT_MAX_N) -> Geneti
         raise EmptySpaceError(f"{{{n}}} is long, the moduli space is empty")
 
     below = [0, *accumulate(ints[:-1])]  # below[i]: the sum of the i shortest sides
-    # Above top, sums[i] is [below[i]], which s[bisect_left(s, room) - 1]
-    # reads whichever side of room it is on.
     top = (n - 1) // 2
-    sums = [[0]]
-    for v in ints[:top]:
+    depth = min(top, _TABLE_DEPTH)
+    # tables[j]: every subset T of sides 1..j as (sum, sum + the cheapest
+    # enlargement inside 1..j without and with moving j up to j+1, T
+    # ascending), sorted by sum; rows leave out side j, then `taken` take it.
+    # `total` stands for "no enlargement", here and below, as it is never short.
+    tables = [[(0, total, total, ())]]
+    for j in range(1, depth + 1):
+        v, up = ints[j - 1], ints[j]
+        rows, taken = [], []
+        for x, a, b, t in tables[-1]:
+            r = b if b < x + v else x + v
+            rows.append((x, r, r, t))
+            a += v
+            taken.append((x + v, a, a if a < x + up else x + up, (*t, j)))
+        rows += taken
+        rows.sort()  # by sum first; both halves already are, so timsort merges them
+        tables.append(rows)
+    # sums[i]: the sorted subset sums of the i shortest sides, repeated at
+    # i <= depth and distinct above it.  Above top, sums[i] is [below[i]],
+    # which s[bisect_left(s, room) - 1] reads whichever side of room it is on.
+    sums = [[row[0] for row in table] for table in tables]
+    for v in ints[depth:top]:
         s = sums[-1]
-        sums.append(sorted(s + [x + v for x in s]))  # timsort merges the two runs
+        sums.append(sorted({*s, *(x + v for x in s)}))
     sums += ([b] for b in below[top + 1:])
     limit = (total + 1) // 2  # a sum is short exactly when it is below limit
     genes: list[tuple[int, ...]] = []
-    # (undecided count j, sum, ascending members, cheapest fixed enlargement);
-    # `total` stands for "no enlargement fixed yet", as it can never be short.
+    # (undecided count j, sum, ascending members, cheapest fixed enlargement)
     stack = [(n - 1, ints[-1], (n,), total)]
     while stack:
         j, cur, members, cheapest = stack.pop()
-        if not j:
-            genes.append(members)
+        room = limit - cur  # the set stays short while it adds less than this
+        if j <= depth:
+            # The genes below this node: its members plus a subset of sides
+            # 1..j that adds less than room but no enlargement of it does.
+            s = sums[j]
+            hi = bisect_left(s, room)
+            col = 1 if members[0] == j + 1 else 2
+            for row in tables[j][bisect_left(s, room - cheapest, 0, hi):hi]:
+                if row[col] >= room:
+                    genes.append(row[3] + members)
             continue
         i = j - 1
         side = ints[i]
-        room = limit - cur  # the set stays short while it adds less than this
         if side >= room:
             # Sides t+1..j are all too long to take: leave them out together.
             t = bisect_left(ints, room, 0, i)

@@ -13,7 +13,9 @@ from the profiles block by block and then sorted.
 A Gray-code walk over all subsets is a second genetic-code oracle,
 exhaustive where `genetic_code` prunes; a third is the pruned search
 whose cut bounds only the largest completion, fast enough to check
-`genetic_code` where the Gray walk is too slow.  A realize search that
+`genetic_code` where the Gray walk is too slow, and a fourth is the
+search that walks every level down to its leaves, where `genetic_code`
+reads the last levels from completion tables.  A realize search that
 lists every ascending tuple and computes the genetic code of each
 candidate is the oracle of the pruned one.
 """
@@ -27,8 +29,13 @@ from itertools import accumulate, combinations, permutations, product
 from math import factorial
 
 from polyphi.combinatorics import IndexSet, binom_parity, compositions, is_subgee_profile
-from polyphi.errors import EmptySpaceError, NotGenericError, RealizationNotFoundError
-from polyphi.lengths import GeneticCode, LengthVector, genetic_code, is_generic
+from polyphi.errors import (
+    EmptySpaceError,
+    NotGenericError,
+    RealizationNotFoundError,
+    SizeLimitError,
+)
+from polyphi.lengths import DEFAULT_MAX_N, GeneticCode, LengthVector, genetic_code, is_generic
 
 
 def exact_binomial(m: int, r: int) -> int:
@@ -297,6 +304,71 @@ def genetic_code_by_largest_completion(lengths) -> GeneticCode:
 
     genes.sort(key=lambda g: (-len(g), g))
     return GeneticCode(tuple(IndexSet(g) for g in genes), n)
+
+
+def genetic_code_by_subset_sums(lengths, *, max_n: int = DEFAULT_MAX_N) -> GeneticCode:
+    """`genetic_code` as it was before completion tables: the depth-first
+    search walks every level down to the leaves, and cuts a child unless a
+    subset sum of its undecided sides (read exactly from the sorted sums of
+    the (n-1)//2 shortest sides, kept with repeats; the sum of all of them
+    above that) lands in the window below the room that the cheapest fixed
+    enlargement leaves.  Its surviving leaves are the genes.  Same ordering,
+    exceptions, messages and size guard.
+    """
+    n = lengths.n
+    if n > max_n:
+        raise SizeLimitError(f"n={n} exceeds the subset-enumeration guard max_n={max_n}")
+    if not is_generic(lengths):
+        raise NotGenericError("length vector is not generic")
+    ints = lengths.scaled()
+    total = sum(ints)
+    if 2 * ints[-1] > total:
+        raise EmptySpaceError(f"{{{n}}} is long, the moduli space is empty")
+
+    below = [0, *accumulate(ints[:-1])]  # below[i]: the sum of the i shortest sides
+    # Above top, sums[i] is [below[i]], which s[bisect_left(s, room) - 1]
+    # reads whichever side of room it is on.
+    top = (n - 1) // 2
+    sums = [[0]]
+    for v in ints[:top]:
+        s = sums[-1]
+        sums.append(sorted(s + [x + v for x in s]))  # timsort merges the two runs
+    sums += ([b] for b in below[top + 1:])
+    limit = (total + 1) // 2  # a sum is short exactly when it is below limit
+    genes: list[tuple[int, ...]] = []
+    # (undecided count j, sum, ascending members, cheapest fixed enlargement);
+    # `total` stands for "no enlargement fixed yet", as it can never be short.
+    stack = [(n - 1, ints[-1], (n,), total)]
+    while stack:
+        j, cur, members, cheapest = stack.pop()
+        if not j:
+            genes.append(members)
+            continue
+        i = j - 1
+        side = ints[i]
+        room = limit - cur  # the set stays short while it adds less than this
+        if side >= room:
+            # Sides t+1..j are all too long to take: leave them out together.
+            t = bisect_left(ints, room, 0, i)
+            s = sums[t]
+            if s[bisect_left(s, room) - 1] + cheapest >= room:
+                stack.append((t, cur, members, cheapest))
+            continue
+        s = sums[i]
+        # Leave out side j, which fixes adding it.
+        fixed = side if side < cheapest else cheapest
+        if s[bisect_left(s, room) - 1] + fixed >= room:
+            stack.append((i, cur, members, fixed))
+        # Take side j; without side j+1 that fixes moving j up to it.
+        room -= side
+        if members[0] != j + 1 and ints[j] - side < cheapest:
+            cheapest = ints[j] - side
+        if cheapest and s[bisect_left(s, room) - 1] + cheapest >= room:
+            stack.append((i, cur + side, (j, *members), cheapest))
+
+    genes.sort()  # lex, then stably by size, largest first
+    genes.sort(key=len, reverse=True)
+    return GeneticCode(tuple(map(IndexSet._from_ascending, genes)), n)
 
 
 def ascending_tuples(parts: int, total: int, lo: int = 1) -> Iterator[tuple[int, ...]]:

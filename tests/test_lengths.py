@@ -44,6 +44,7 @@ from brute import (
     brute_subgees,
     genetic_code_by_gray_walk,
     genetic_code_by_largest_completion,
+    genetic_code_by_subset_sums,
     greedy_set_leq,
     is_short,
     realize_by_genetic_code,
@@ -315,6 +316,37 @@ def test_subset_sum_cut_matches_largest_completion_cut():
         ):
             lv = normalize(_odd_total(raw))
             assert _outcome(genetic_code, lv) == _outcome(genetic_code_by_largest_completion, lv), raw
+
+
+def test_completion_tables_match_subset_sum_search():
+    # The last levels read from completion tables against the search that
+    # walks every level to the leaves (about 1 s in all).  The random draws
+    # stop at n = 25: at n = 26 the walk alone takes about 0.6 s on the
+    # 50,000 or so genes.
+    rng = random.Random(20261020)
+    vectors = []
+    # As the classify benchmark draws them: plain, doubled, scaled by 2/q.
+    for n in range(17, 26):
+        plain = _odd_total([rng.randint(1, 10**6) for _ in range(n)])
+        factor = (1, 2, Fraction(2, rng.choice((3, 7))))[n % 3]
+        vectors.append([factor * x for x in plain])
+    for n in range(17, 28):
+        vectors.append(_odd_total([rng.randint(1000, 1050) for _ in range(n)]))
+        # equal sides: moves inside a table that cost nothing
+        vectors.append(_odd_total([rng.choice((1, 2, 3, 5)) for _ in range(n)]))
+        vectors.append([1] * n)
+    # Up to n = 17 the tables reach the top level of the subset sums.
+    for n in range(3, 18):
+        vectors.append(_odd_total([rng.randint(1, 10 ** rng.randint(1, 6)) for _ in range(n)]))
+        vectors.append([rng.randint(1, 12) for _ in range(n)])
+    # Tiny sides below equal huge ones: the jump over the huge sides that
+    # are too long lands inside the tables.
+    for tiny in range(1, 9):
+        huge = rng.randint(17 - tiny, 26 - tiny)
+        vectors.append(_odd_total([rng.randint(1, 9) for _ in range(tiny)]) + [10**6] * huge)
+    for raw in vectors:
+        lv = normalize(raw)
+        assert _outcome(genetic_code, lv) == _outcome(genetic_code_by_subset_sums, lv), raw
 
 
 def test_near_equal_27_gon_codes_within_budget():
