@@ -20,7 +20,9 @@ from .errors import PolyphiError, RealizationNotFoundError, SizeLimitError
 from .lengths import (
     DEFAULT_MAX_N,
     DEFAULT_SEARCH_BOUND,
+    GeneticCode,
     LengthVector,
+    _genes,
     genetic_code,
     monogenic_gee,
     normalize,
@@ -64,14 +66,21 @@ def _parse_subset(text: str) -> IndexSet:
 # Each command returns (exit code, payload); the payload is the JSON output.
 
 def _cmd_gene(args: argparse.Namespace) -> tuple[int, dict]:
+    # The search's ascending tuples, reversed for output: a code can hold
+    # tens of thousands of genes, so none is wrapped in an IndexSet.
     lv = _parse_lengths(args.lengths)
-    code = genetic_code(lv, max_n=args.max_n)
-    gee = monogenic_gee(code) if code.is_monogenic else None
+    n = lv.n
+    genes = _genes(lv, max_n=args.max_n)
+    for g in genes:  # GeneticCode's check: n is the largest index
+        if g[-1] != n:
+            raise ValueError(f"gene {IndexSet._from_ascending(g)} does not contain n={n}")
+    monogenic = len(genes) == 1
+    gee = monogenic_gee(GeneticCode((IndexSet._from_ascending(genes[0]),), n)) if monogenic else None
     return 0, {
-        "n": code.n,
+        "n": n,
         "generic": True,
-        "code": [g.descending() for g in code.genes],
-        "monogenic": code.is_monogenic,
+        "code": [g[::-1] for g in genes],
+        "monogenic": monogenic,
         "a": list(gee.a) if gee is not None else None,
     }
 
@@ -161,6 +170,23 @@ def _cmd_realize(args: argparse.Namespace) -> tuple[int, dict]:
 
 # Output: one CSV cell rule, and one small text function per command.
 
+class _Decimals(dict):
+    """`str(i)` for the ints of one rendering, each converted once.
+
+    A code repeats its few indices tens of thousands of times.  0 and 1 are
+    never stored: False and True are the same dict keys as 0 and 1, and a
+    bool must still read as itself.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, i: object) -> str:
+        s = str(i)
+        if type(i) is int and not 0 <= i <= 1:
+            self[i] = s
+        return s
+
+
 def _cell(value: object) -> str:
     """One CSV cell: lists (or tuples) are space-joined and lists of lists
     `;`-joined, bools are true/false and None is empty."""
@@ -170,7 +196,8 @@ def _cell(value: object) -> str:
         return "true" if value else "false"
     if isinstance(value, (list, tuple)):
         if value and isinstance(value[0], (list, tuple)):
-            return ";".join(" ".join(map(str, v)) for v in value)
+            decimal = _Decimals().__getitem__
+            return ";".join(" ".join(map(decimal, v)) for v in value)
         return " ".join(map(str, value))
     return str(value)
 
@@ -184,9 +211,9 @@ def _json(value: object, indent: str = "") -> str:
     The standard encoder falls back to a Python generator per value once
     it indents; here a list of plain ints is joined in one call, and a
     list of nonempty lists of plain ints (a `gene` code) in one
-    comprehension: together most of every payload.  Dicts (with str
-    keys), lists, tuples, str and plain ints are written here; bools, None
-    and other scalars go to `json.dumps`.
+    comprehension, converting each distinct int once: together most of
+    every payload.  Dicts (with str keys), lists, tuples, str and plain
+    ints are written here; bools, None and other scalars go to `json.dumps`.
     """
     if type(value) is int:
         return str(value)
@@ -210,8 +237,9 @@ def _json(value: object, indent: str = "") -> str:
         ):
             deeper = inner + "  "
             row_sep = ",\n" + deeper
+            decimal = _Decimals().__getitem__
             body = sep.join(
-                "[\n" + deeper + row_sep.join(map(str, v)) + "\n" + inner + "]" for v in value
+                "[\n" + deeper + row_sep.join(map(decimal, v)) + "\n" + inner + "]" for v in value
             )
         else:
             body = sep.join(_json(v, inner) for v in value)
@@ -225,15 +253,16 @@ def _tuple(values: list) -> str:
     return "(" + ",".join(map(str, values)) + ")"
 
 
-def _braces(values: list) -> str:
-    return "{" + ",".join(map(str, values)) + "}"
+def _braces(values: list, decimal: Callable[[object], str] = str) -> str:
+    return "{" + ",".join(map(decimal, values)) + "}"
 
 
 def _text_gene(p: dict) -> list[str]:
+    decimal = _Decimals().__getitem__
     lines = [
         f"n: {p['n']}",
         "generic: true",
-        f"code: {'; '.join(map(_braces, p['code']))}",
+        f"code: {'; '.join(_braces(g, decimal) for g in p['code'])}",
         f"monogenic: {_cell(p['monogenic'])}",
     ]
     if p["a"] is not None:

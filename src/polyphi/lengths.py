@@ -41,7 +41,7 @@ DEFAULT_MAX_N = 30
 # `realize_gee` tries integer length vectors up to this total by default.
 DEFAULT_SEARCH_BOUND = 40
 
-# `genetic_code` reads its last levels from tables of up to 2^_TABLE_DEPTH
+# The gene search reads its last levels from tables of up to 2^_TABLE_DEPTH
 # subsets built per call; deeper tables cost more than the walk they save.
 _TABLE_DEPTH = 8
 
@@ -90,9 +90,10 @@ class GeneticCode(_Value):
 def normalize(raw: Iterable[Fraction | int]) -> LengthVector:
     """Validate and sort raw side lengths into a LengthVector.
 
-    Accepts ints and Fractions only; floats are rejected to preserve the
-    exactness contract.  The original ordering is discarded: all downstream
-    indices refer to the sorted vector.
+    Accepts whatever `Fraction(x)` reads: ints, Fractions, Decimals and
+    strings such as "1/2" or "0.5".  Floats are rejected to preserve the
+    exactness contract, and bools are rejected too.  The original ordering
+    is discarded: all downstream indices refer to the sorted vector.
     """
     values = []
     for x in raw:
@@ -142,6 +143,19 @@ def genetic_code(lengths: LengthVector, *, max_n: int = DEFAULT_MAX_N) -> Geneti
     in the domination order is long: adding an absent element, or moving a
     member i up to an absent i+1 (n itself never moves).  Shortness is
     downward closed and any strict domination factors through such steps.
+
+    The search is `_genes`.  The CLI's `gene` command calls it directly and
+    renders its tuples, so that it wraps no gene in an IndexSet; `phi
+    --lengths` and `realize_gee` call this function.
+    """
+    genes = _genes(lengths, max_n=max_n)
+    return GeneticCode(tuple(map(IndexSet._from_ascending, genes)), lengths.n)
+
+
+def _genes(lengths: LengthVector, *, max_n: int) -> list[tuple[int, ...]]:
+    """The genes of `genetic_code`, as ascending tuples in its order, with
+    its checks, exceptions and messages.  The CLI's `gene` command calls
+    this directly; every other caller goes through `genetic_code`.
 
     The sets are found by a depth-first search that decides the members n-1,
     n-2, ... in turn, on an explicit stack.  An entry carries the count j
@@ -263,7 +277,7 @@ def genetic_code(lengths: LengthVector, *, max_n: int = DEFAULT_MAX_N) -> Geneti
 
     genes.sort()  # lex, then stably by size, largest first
     genes.sort(key=len, reverse=True)
-    return GeneticCode(tuple(map(IndexSet._from_ascending, genes)), n)
+    return genes
 
 
 def monogenic_gee(code: GeneticCode) -> GeeParams:

@@ -17,11 +17,14 @@ whose cut bounds only the largest completion, fast enough to check
 search that walks every level down to its leaves, where `genetic_code`
 reads the last levels from completion tables.  A realize search that
 lists every ascending tuple and computes the genetic code of each
-candidate is the oracle of the pruned one.
+candidate is the oracle of the pruned one.  `gene` stdout is rendered
+from the public `genetic_code` by `json.dumps` and plain `str` joins, as
+the oracle of the CLI's renderers.
 """
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_left
 from collections.abc import Iterator
 from fractions import Fraction
@@ -35,7 +38,14 @@ from polyphi.errors import (
     RealizationNotFoundError,
     SizeLimitError,
 )
-from polyphi.lengths import DEFAULT_MAX_N, GeneticCode, LengthVector, genetic_code, is_generic
+from polyphi.lengths import (
+    DEFAULT_MAX_N,
+    GeneticCode,
+    LengthVector,
+    genetic_code,
+    is_generic,
+    monogenic_gee,
+)
 
 
 def exact_binomial(m: int, r: int) -> int:
@@ -369,6 +379,43 @@ def genetic_code_by_subset_sums(lengths, *, max_n: int = DEFAULT_MAX_N) -> Genet
     genes.sort()  # lex, then stably by size, largest first
     genes.sort(key=len, reverse=True)
     return GeneticCode(tuple(map(IndexSet._from_ascending, genes)), n)
+
+
+def gene_stdouts(lengths: LengthVector) -> dict[str, str]:
+    """What `polyphi gene` prints in each format for a vector with a
+    genetic code: genes from `genetic_code(...).genes` by `descending()`,
+    every int written by `str`, and json by `json.dumps`."""
+    code = genetic_code(lengths)
+    genes = [g.descending() for g in code.genes]
+    a = monogenic_gee(code).a if code.is_monogenic else None
+    payload = {
+        "n": code.n,
+        "generic": True,
+        "code": [list(g) for g in genes],
+        "monogenic": code.is_monogenic,
+        "a": list(a) if a is not None else None,
+    }
+    flag = "true" if code.is_monogenic else "false"
+    cells = [
+        str(code.n),
+        "true",
+        flag,
+        " ".join(map(str, a)) if a is not None else "",
+        ";".join(" ".join(map(str, g)) for g in genes),
+    ]
+    lines = [
+        f"n: {code.n}",
+        "generic: true",
+        "code: " + "; ".join("{" + ",".join(map(str, g)) + "}" for g in genes),
+        f"monogenic: {flag}",
+    ]
+    if a is not None:
+        lines.append("a: (" + ",".join(map(str, a)) + ")")
+    return {
+        "text": "".join(line + "\n" for line in lines),
+        "json": json.dumps(payload, indent=2, sort_keys=True) + "\n",
+        "csv": "n,generic,monogenic,a,code\n" + ",".join(cells) + "\n",
+    }
 
 
 def ascending_tuples(parts: int, total: int, lo: int = 1) -> Iterator[tuple[int, ...]]:

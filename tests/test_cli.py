@@ -6,12 +6,16 @@ import csv
 import io
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from polyphi import IndexSet, normalize
 from polyphi.cli import _build_parser, _cell, _json, main
+
+from brute import gene_stdouts
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -73,6 +77,51 @@ def test_gene_json_round_trip_bytes(capsys, flip_formula_at):
         payloads[argv] = json.loads(out)
     assert len(payloads["gene", "--lengths", n20]["code"]) > 500
     assert payloads["verify", "--a", "2,2,2"]["failures"]
+
+
+def test_gene_stdout_matches_renderings_of_the_public_code(capsys):
+    # Vectors as the classify benchmark draws them, n = 16..20: plain,
+    # doubled and scaled by 2/q, each with an odd total, so generic; and
+    # near-equal sides at odd n, whose code is one gene.  Every format is
+    # compared with `genetic_code` rendered by json.dumps and str (about 0.2 s).
+    rng = random.Random(20261019)
+    vectors = []
+    for i in range(15):
+        n = 16 + i % 5
+        x = [rng.randint(1, 10**6) for _ in range(n)]
+        x[-1] += 1 - sum(x) % 2
+        factor = (1, 2, Fraction(2, rng.choice((3, 7))))[i % 3]
+        vectors.append([factor * v for v in x])
+    for n in (17, 19):
+        x = [rng.randint(1000, 1050) for _ in range(n)]
+        x[-1] += 1 - sum(x) % 2
+        vectors.append(x)
+    monogenic = 0
+    for x in vectors:
+        shown = x[:]
+        rng.shuffle(shown)
+        lengths = ",".join(map(str, shown))
+        expected = gene_stdouts(normalize(x))
+        for fmt, out in expected.items():
+            assert run(capsys, "gene", "--lengths", lengths, "--format", fmt) == (0, out, "")
+        monogenic += json.loads(expected["json"])["monogenic"]
+    assert monogenic == 2
+
+
+def test_gene_wraps_at_most_one_gene(capsys, monkeypatch):
+    # `gene` renders the search's tuples: only a one-gene code is wrapped,
+    # for its gee.
+    wrapped = []
+    original = IndexSet._from_ascending
+
+    def counting(cls, elements):
+        wrapped.append(elements)
+        return original(elements)
+
+    monkeypatch.setattr(IndexSet, "_from_ascending", classmethod(counting))
+    code, out, _ = run(capsys, "gene", "--lengths", _n20_lengths(), "--format", "json")
+    assert code == 0 and len(json.loads(out)["code"]) > 500
+    assert len(wrapped) <= 1
 
 
 def test_gene_csv(capsys):
@@ -379,6 +428,7 @@ _payloads = st.recursive(
 @example([(6, 5), (6, 4, 1)])  # a gene code
 @example([[6, 5], []])  # an empty inner list is written as []
 @example([[6, 5], [True]])  # a bool is not a plain int
+@example([[6, -5, 4], [-5, 6, 6], [4, -5, 2**70]])  # ints repeated across rows
 @settings(max_examples=150, deadline=None)
 def test_json_writer_matches_json_dumps(value):
     assert _json(value) == json.dumps(value, indent=2, sort_keys=True)
@@ -398,6 +448,11 @@ def test_json_writer_matches_json_dumps(value):
         ([(6, 5), (6, 4, 1)], "6 5;6 4 1"),  # gene code
         ((5, 4), "5 4"),
         ((), ""),
+        # Nested rows as `str` writes them: a bool is not its int.
+        ([[1, True]], "1 True"),
+        ([[True, 1], [1, True]], "True 1;1 True"),
+        ([[0, False, 0], [False]], "0 False 0;False"),
+        ([[-3, 2**64], [2**64, -3, -3]], "-3 18446744073709551616;18446744073709551616 -3 -3"),
     ],
 )
 def test_csv_cell_shapes(value, cell):

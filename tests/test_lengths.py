@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -67,6 +68,12 @@ def test_normalize_accepts_fractions():
     lv = normalize([Fraction(1, 2), 2, Fraction(3, 4)])
     assert lv.lengths == (Fraction(1, 2), Fraction(3, 4), 2)
     assert lv.scaled() == (2, 3, 8)
+
+
+def test_normalize_accepts_what_fraction_reads():
+    half = (Fraction(1, 2), Fraction(1), Fraction(1))
+    assert normalize(["1/2", 1, 1]).lengths == half
+    assert normalize([Decimal("0.5"), 1, 1]).lengths == half
 
 
 @pytest.mark.parametrize("raw", [[1, 0, 2], [1, -1, 2], [1, 2, Fraction(0)]])
