@@ -104,10 +104,8 @@ def _cmd_phi(args: argparse.Namespace) -> tuple[int, dict]:
         "subgee": in_span and is_subgee_profile(profile),
         "phi": pairing_set(gee, subset),
     }
-    if args.explain and profile is not None:
-        payload["explain"] = [
-            {"b": b, "term": term} for b, term in admissible_summands(gee, profile)
-        ]
+    if args.explain and profile is not None and args.format != "csv":  # no CSV column lists them
+        payload["explain"] = _Summands(admissible_summands(gee, profile))
     return 0, payload
 
 
@@ -170,6 +168,13 @@ def _cmd_realize(args: argparse.Namespace) -> tuple[int, dict]:
 
 # Output: one CSV cell rule, and one small text function per command.
 
+class _Summands(list):
+    """`phi --explain`'s (B, term) pairs, written by `_json` as the rows
+    {"b": B, "term": term} from one template."""
+
+    __slots__ = ()
+
+
 class _Decimals(dict):
     """`str(i)` for the ints of one rendering, each converted once.
 
@@ -212,7 +217,8 @@ def _json(value: object, indent: str = "") -> str:
     it indents; here a list of plain ints is joined in one call, and a
     list of nonempty lists of plain ints (a `gene` code) in one
     comprehension, converting each distinct int once: together most of
-    every payload.  Dicts (with str keys), lists, tuples, str and plain
+    every payload.  `phi --explain`'s `_Summands` pairs are written as
+    {"b", "term"} rows from one %-template.  Dicts (with str keys), lists, tuples, str and plain
     ints are written here; bools, None and other scalars go to `json.dumps`.
     """
     if type(value) is int:
@@ -227,8 +233,10 @@ def _json(value: object, indent: str = "") -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        types = {*map(type, value)}
-        if types == {int}:
+        if type(value) is _Summands:
+            row = _summand_template(len(value[0][0]), inner)
+            body = sep.join([row % (*b, term) for b, term in value])
+        elif (types := {*map(type, value)}) == {int}:
             body = sep.join(map(str, value))
         elif (
             types <= {list, tuple}
@@ -247,6 +255,14 @@ def _json(value: object, indent: str = "") -> str:
     if isinstance(value, str):
         return _quote(value)
     return json.dumps(value)
+
+
+def _summand_template(k: int, indent: str) -> str:
+    """`_json({"b": B, "term": term}, indent)` for a B of length k, as a
+    %-template taking the pair (B, term) with B's entries spread."""
+    inner, deeper = indent + "  ", indent + "    "
+    b = "[\n" + deeper + (",\n" + deeper).join(["%d"] * k) + "\n" + inner + "]" if k else "[]"
+    return "{\n" + inner + '"b": ' + b + ",\n" + inner + '"term": %d\n' + indent + "}"
 
 
 def _tuple(values: list) -> str:
@@ -276,7 +292,7 @@ def _text_phi(p: dict) -> list[str]:
         f"phi: {p['phi']}",
         f"theta: {tuple(theta) if theta is not None else 'undefined (subscript beyond gee span)'}",
         f"subgee: {_cell(p['subgee'])}",
-        *(f"B: {tuple(s['b'])} term={s['term']}" for s in p.get("explain", [])),
+        *(f"B: {b} term={term}" for b, term in p.get("explain", ())),
     ]
 
 

@@ -12,9 +12,11 @@ the suffix length (the suffix condition), and it records which states are
 reached by an odd number of weighted choices.  That takes O(k^2) binomial
 parities and O(k^3) bit operations, while the admissible complementary
 profiles B can be exponentially many: the zero profile has the Catalan
-number C_k of them.  Listing them stays for `--explain`; a flat walk over
-admissible prefixes yields each B in O(k) steps, and its term is k lookups
-in per-block parity tuples built once per call.  `pairing_table` runs the
+number C_k of them.  Listing them stays for `--explain`: a walk over
+admissible prefixes yields each B in O(k) steps and carries the product of
+the parities chosen so far, one lookup in per-block parity tuples per step
+instead of k per summand.  CSV output has no column for the list, so
+`phi --format csv` does not walk at all.  `pairing_table` runs the
 DP once over the suffixes that subgee profiles share, so a whole table
 costs O(k) amortized per row instead of O(k^2); `table`, `verify` and
 `oracle` all read their values from it.  Nothing is memoized between
@@ -25,7 +27,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from math import comb, prod
-from operator import getitem
 
 from .combinatorics import (
     GeeParams,
@@ -36,7 +37,6 @@ from .combinatorics import (
     block_counts,
     check_ints,
     is_subgee_profile,
-    suffix_fillings,
 )
 from .errors import InfeasibleProfileError
 
@@ -77,15 +77,36 @@ def _summands(gee: GeeParams, profile: Profile) -> Iterator[tuple[Profile, int]]
     term: the product of binomial parities binom(a_i + b_i - 2, b_i).
 
     When the profile fails the suffix condition no B is admissible, so the
-    walk is skipped; otherwise none of its branches dies.  A term is k
-    lookups in the parities of each block, listed once for b_i <= budget.
+    walk is skipped.  Otherwise |B + profile| = k, and the suffix condition
+    says that every prefix of length i of B + profile sums to at least i.
+    A depth-first walk on an explicit stack picks b_i from the least value
+    keeping that bound up to the budget left, and carries the product of
+    the parities chosen so far; the last entry is forced, so the last two
+    are yielded directly, each B's term finished by two lookups.  No
+    branch dies.
     """
     if not is_subgee_profile(profile):
         return
-    budget = gee.k - sum(profile)
+    k = gee.k
+    budget = k - sum(profile)
     parities = [tuple(binom_parity(a + b - 2, b) for b in range(budget + 1)) for a in gee.a]
-    for b in suffix_fillings(profile, (budget,) * gee.k, budget):
-        yield b, min(map(getitem, parities, b), default=1)
+    if k < 2:  # B is () or (budget,)
+        yield (budget,) * k, parities[0][budget] if k else 1
+        return
+    pen, last = parities[-2], parities[-1]
+    stack = [((), budget, 0, 1)]  # (head, budget left, lead of the prefix over its bound, term)
+    while stack:
+        head, rest, lead, term = stack.pop()
+        j = len(head)
+        lo = max(0, 1 - lead - profile[j])
+        if j == k - 2:
+            for x in range(lo, rest + 1):
+                yield (*head, x, rest - x), term & pen[x] & last[rest - x]
+        else:
+            par, step = parities[j], lead + profile[j] - 1
+            stack.extend(
+                ((*head, x), rest - x, step + x, term & par[x]) for x in range(rest, lo - 1, -1)
+            )
 
 
 def _spread(a: int, m: int, odd: int) -> int:

@@ -103,7 +103,7 @@ def normalize(raw: Iterable[Fraction | int]) -> LengthVector:
             raise InvalidLengthError(f"booleans are not side lengths, got {x!r}")
         try:
             f = Fraction(x)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: infinite Decimals
             raise InvalidLengthError(f"not a rational side length: {x!r}") from exc
         if f <= 0:
             raise InvalidLengthError(f"side lengths must be positive, got {x!r}")

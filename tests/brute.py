@@ -19,7 +19,10 @@ reads the last levels from completion tables.  A realize search that
 lists every ascending tuple and computes the genetic code of each
 candidate is the oracle of the pruned one.  `gene` stdout is rendered
 from the public `genetic_code` by `json.dumps` and plain `str` joins, as
-the oracle of the CLI's renderers.
+the oracle of the CLI's renderers, and `phi` text from its json payload.
+`phi --explain` summands are also listed by `suffix_fillings` with each
+term taken as the least of its k parities, the oracle of the walk that
+carries the term.
 """
 
 from __future__ import annotations
@@ -30,8 +33,15 @@ from collections.abc import Iterator
 from fractions import Fraction
 from itertools import accumulate, combinations, permutations, product
 from math import factorial
+from operator import getitem
 
-from polyphi.combinatorics import IndexSet, binom_parity, compositions, is_subgee_profile
+from polyphi.combinatorics import (
+    IndexSet,
+    binom_parity,
+    compositions,
+    is_subgee_profile,
+    suffix_fillings,
+)
 from polyphi.errors import (
     EmptySpaceError,
     NotGenericError,
@@ -212,6 +222,20 @@ def summands_by_enumeration(gee, profile) -> list[tuple[tuple[int, ...], int]]:
         (b, int(all(binom_parity(ai + bi - 2, bi) for ai, bi in zip(gee.a, b))))
         for b in compositions(gee.k - sum(profile), gee.k)
         if is_subgee_profile(tuple(x + y for x, y in zip(b, profile)))
+    ]
+
+
+def summands_by_fillings(gee, profile) -> list[tuple[tuple[int, ...], int]]:
+    """The admissible complementary profiles B with their terms, listed by
+    `suffix_fillings` under caps equal to the budget, each term taken as
+    the least of its k per-block parities."""
+    if not is_subgee_profile(profile):
+        return []
+    budget = gee.k - sum(profile)
+    parities = [tuple(binom_parity(a + b - 2, b) for b in range(budget + 1)) for a in gee.a]
+    return [
+        (b, min(map(getitem, parities, b), default=1))
+        for b in suffix_fillings(profile, (budget,) * gee.k, budget)
     ]
 
 
@@ -416,6 +440,19 @@ def gene_stdouts(lengths: LengthVector) -> dict[str, str]:
         "json": json.dumps(payload, indent=2, sort_keys=True) + "\n",
         "csv": "n,generic,monogenic,a,code\n" + ",".join(cells) + "\n",
     }
+
+
+def phi_text(payload: dict) -> str:
+    """What `polyphi phi` prints as text for its json payload, each
+    summand written as `B: {tuple(b)} term={t}`."""
+    theta = payload["theta"]
+    lines = [
+        f"phi: {payload['phi']}",
+        f"theta: {tuple(theta) if theta is not None else 'undefined (subscript beyond gee span)'}",
+        f"subgee: {'true' if payload['subgee'] else 'false'}",
+        *(f"B: {tuple(s['b'])} term={s['term']}" for s in payload.get("explain", [])),
+    ]
+    return "".join(line + "\n" for line in lines)
 
 
 def ascending_tuples(parts: int, total: int, lo: int = 1) -> Iterator[tuple[int, ...]]:

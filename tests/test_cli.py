@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from polyphi import IndexSet, normalize
 from polyphi.cli import _build_parser, _cell, _json, main
 
-from brute import gene_stdouts
+from brute import gene_stdouts, phi_text
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -60,14 +61,20 @@ def _n20_lengths() -> str:
 def test_gene_json_round_trip_bytes(capsys, flip_formula_at):
     # The golden files pin only small payloads; these are the other shapes
     # the JSON writer meets, up to a code of thousands of genes.
+    # `phi --explain` text is checked against a reference renderer too.
     flip_formula_at((1,))  # so that verify lists failures
     n20 = _n20_lengths()
+    rng = random.Random(9)
+    a9 = ",".join(str(rng.randint(1, 3)) for _ in range(9))
     payloads = {}
     for argv in [
         ("gene", "--lengths", "1,2,2,4,4"),
         ("gene", "--lengths", n20),
         ("table", "--a", "2,2,2"),
         ("phi", "--a", "2,2,2", "--J", "3", "--explain"),
+        ("phi", "--a", "", "--J", "", "--explain"),  # k = 0: B is ()
+        ("phi", "--a", "2,2", "--J", "3,4", "--explain"),  # fails the suffix condition
+        ("phi", "--a", a9, "--J", "", "--explain"),  # zero profile: C_9 summands
         ("oracle", "--a", "2,2,2", "--explain"),
         ("verify", "--a", "2,2,2"),
         ("realize", "--a", "2"),
@@ -75,8 +82,13 @@ def test_gene_json_round_trip_bytes(capsys, flip_formula_at):
         _, out, _ = run(capsys, *argv, "--format", "json")
         assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out, argv
         payloads[argv] = json.loads(out)
+        if argv[0] == "phi":
+            assert run(capsys, *argv) == (0, phi_text(payloads[argv]), ""), argv
     assert len(payloads["gene", "--lengths", n20]["code"]) > 500
     assert payloads["verify", "--a", "2,2,2"]["failures"]
+    assert payloads["phi", "--a", "", "--J", "", "--explain"]["explain"] == [{"b": [], "term": 1}]
+    assert payloads["phi", "--a", "2,2", "--J", "3,4", "--explain"]["explain"] == []
+    assert len(payloads["phi", "--a", a9, "--J", "", "--explain"]["explain"]) == 4862
 
 
 def test_gene_stdout_matches_renderings_of_the_public_code(capsys):
@@ -174,6 +186,28 @@ def test_phi_with_explain(capsys):
     assert "B: (1, 0, 1) term=1" in out
     assert "B: (1, 1, 0) term=1" in out
     assert "B: (2, 0, 0) term=1" in out
+
+
+def test_phi_csv_skips_the_summand_walk(capsys, monkeypatch):
+    # CSV has no column for the summands, so --explain must not list them.
+    def refuse(*args):
+        raise AssertionError("admissible_summands called for CSV output")
+
+    monkeypatch.setattr("polyphi.cli.admissible_summands", refuse)
+    argv = ("phi", "--a", "2,2,2", "--J", "3", "--explain", "--format", "csv")
+    expected = (GOLDEN / "cli" / "phi_explain.csv").read_text()
+    assert run(capsys, *argv) == (0, expected, "")
+
+
+def test_phi_csv_explain_at_k13_is_fast(capsys):
+    # The zero profile at k = 13 has C_13 = 742,900 summands (an even count,
+    # so phi is 0); listing them took seconds and hundreds of MiB.
+    argv = ("phi", "--a", ",".join("2" * 13), "--J", "", "--explain", "--format", "csv")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, *argv)
+    elapsed = time.perf_counter() - start
+    assert code == 0 and out.endswith(",true,0\n")
+    assert elapsed < 0.2, elapsed
 
 
 def test_phi_empty_subscripts(capsys):

@@ -31,6 +31,7 @@ from brute import (
     brute_subgees,
     profile_sum_by_enumeration,
     summands_by_enumeration,
+    summands_by_fillings,
     theta_of,
 )
 
@@ -163,6 +164,27 @@ def test_transfer_dp_and_pruned_summands_match_enumeration():
         if gee not in tables:
             tables[gee] = pairing_table(gee)
         assert tables[gee].get(profile, 0) == value, (gee.a, profile)
+
+
+def test_carried_term_walk_matches_suffix_fillings():
+    # The walk that carries each term down against the listing it replaced:
+    # suffix_fillings with caps at the budget and each term the least of its
+    # k parities.  Every gee with k <= 6 and a_i <= 3 at one seeded profile
+    # that fits its blocks, and at its zero profile (Catalan-many B) for
+    # k <= 5 and one gee in four at k = 6; and every profile with entries up
+    # to 3, subgee profile or not, on one seeded gee that fits it.  About 0.4 s.
+    rng = random.Random(21)
+    cases = []
+    for k in range(7):
+        for a in product(range(1, 4), repeat=k):
+            cases.append((a, tuple(rng.randint(0, x) for x in a)))
+            if k < 6 or rng.random() < 0.25:
+                cases.append((a, (0,) * k))
+        for profile in product(range(4), repeat=k):
+            cases.append((tuple(max(c, rng.randint(1, 3)) for c in profile), profile))
+    for a, profile in cases:
+        gee = GeeParams(a)
+        assert admissible_summands(gee, profile) == summands_by_fillings(gee, profile), (a, profile)
 
 
 def test_pairing_table_matches_per_profile_dp():

@@ -82,6 +82,13 @@ def test_normalize_rejects_nonpositive(raw):
         normalize(raw)
 
 
+@pytest.mark.parametrize("x", [Decimal("Infinity"), Decimal("-Infinity")])
+def test_normalize_rejects_infinite_decimals(x):
+    # Fraction(x) raises OverflowError for these, not ValueError.
+    with pytest.raises(InvalidLengthError):
+        normalize([x, 1, 1])
+
+
 def test_normalize_rejects_floats():
     with pytest.raises(InvalidLengthError):
         normalize([1.0, 2, 3])
