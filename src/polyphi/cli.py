@@ -12,7 +12,7 @@ import sys
 from collections.abc import Callable
 from fractions import Fraction
 from functools import cache
-from itertools import chain, islice
+from itertools import islice
 
 from .combinatorics import GeeParams, IndexSet, block_counts, is_subgee_profile, subgee_profiles
 from .duality import TopMonomial, admissible_summands, pairing_set, pairing_table
@@ -79,13 +79,15 @@ def _cmd_gene(args: argparse.Namespace) -> tuple[int, dict]:
     return 0, {
         "n": n,
         "generic": True,
-        "code": [g[::-1] for g in genes],
+        "code": _Code(g[::-1] for g in genes),
         "monogenic": monogenic,
         "a": list(gee.a) if gee is not None else None,
     }
 
 
 def _cmd_phi(args: argparse.Namespace) -> tuple[int, dict]:
+    # CSV output has no column for the --explain summands, so
+    # `phi --format csv` does not walk them at all.
     if args.a is not None:
         gee, n = _parse_gee(args.a), None
     else:
@@ -104,7 +106,7 @@ def _cmd_phi(args: argparse.Namespace) -> tuple[int, dict]:
         "subgee": in_span and is_subgee_profile(profile),
         "phi": pairing_set(gee, subset),
     }
-    if args.explain and profile is not None and args.format != "csv":  # no CSV column lists them
+    if args.explain and profile is not None and args.format != "csv":
         payload["explain"] = _Summands(admissible_summands(gee, profile))
     return 0, payload
 
@@ -168,6 +170,13 @@ def _cmd_realize(args: argparse.Namespace) -> tuple[int, dict]:
 
 # Output: one CSV cell rule, and one small text function per command.
 
+class _Code(list):
+    """`gene`'s genes, each a nonempty tuple of plain ints, written by
+    `_json` one row per gene with each distinct int converted once."""
+
+    __slots__ = ()
+
+
 class _Summands(list):
     """`phi --explain`'s (B, term) pairs, written by `_json` as the rows
     {"b": B, "term": term} from one template."""
@@ -215,11 +224,11 @@ def _json(value: object, indent: str = "") -> str:
 
     The standard encoder falls back to a Python generator per value once
     it indents; here a list of plain ints is joined in one call, and a
-    list of nonempty lists of plain ints (a `gene` code) in one
-    comprehension, converting each distinct int once: together most of
-    every payload.  `phi --explain`'s `_Summands` pairs are written as
-    {"b", "term"} rows from one %-template.  Dicts (with str keys), lists, tuples, str and plain
-    ints are written here; bools, None and other scalars go to `json.dumps`.
+    `gene` code (`_Code`) in one comprehension, converting each distinct
+    int once: together most of every payload.  `phi --explain`'s
+    `_Summands` pairs are written as {"b", "term"} rows from one
+    %-template.  Dicts (with str keys), lists, tuples, str and plain ints
+    are written here; bools, None and other scalars go to `json.dumps`.
     """
     if type(value) is int:
         return str(value)
@@ -236,19 +245,15 @@ def _json(value: object, indent: str = "") -> str:
         if type(value) is _Summands:
             row = _summand_template(len(value[0][0]), inner)
             body = sep.join([row % (*b, term) for b, term in value])
-        elif (types := {*map(type, value)}) == {int}:
-            body = sep.join(map(str, value))
-        elif (
-            types <= {list, tuple}
-            and all(value)
-            and {*map(type, chain.from_iterable(value))} == {int}
-        ):
+        elif type(value) is _Code:
             deeper = inner + "  "
             row_sep = ",\n" + deeper
             decimal = _Decimals().__getitem__
             body = sep.join(
                 "[\n" + deeper + row_sep.join(map(decimal, v)) + "\n" + inner + "]" for v in value
             )
+        elif {*map(type, value)} == {int}:
+            body = sep.join(map(str, value))
         else:
             body = sep.join(_json(v, inner) for v in value)
         return "[\n" + inner + body + "\n" + indent + "]"

@@ -208,47 +208,30 @@ def compositions(total: int, k: int) -> Iterator[Profile]:
             yield (first, *rest)
 
 
-def suffix_fillings(base: Profile, caps: Profile, budget: int) -> Iterator[Profile]:
-    """The tuples x with 0 <= x_i <= caps_i summing to `budget` for which
-    base + x meets the suffix condition, in lexicographic order.
-
-    With k = len(base) and T = |base| + budget, every suffix of length j of
-    base + x sums to at most j exactly when T <= k and every prefix of
-    length i sums to at least i - (k - T).  A depth-first walk on an
-    explicit stack picks x_i from the least value keeping the prefix
-    through position i at that bound up to min(caps_i, remaining budget).
-    The last entry is forced to the remaining budget, so the last two are
-    yielded directly.  No branch dies when base meets the suffix condition,
-    T <= k and every cap is positive or the budget is 0, so the walk then
-    takes O(k) steps per yielded tuple.
-    """
-    k = len(base)
-    slack = k - sum(base) - budget
-    if budget < 0 or slack < 0:
-        return
-    if k < 2:  # x is () or (budget,)
-        if k == 0 or budget <= caps[0]:
-            yield (budget,) * k
-        return
-    stack = [((), budget, slack)]  # (head, budget left, lead of the prefix over its bound)
-    while stack:
-        head, rest, lead = stack.pop()
-        j = len(head)
-        lo, hi = max(0, 1 - lead - base[j]), min(caps[j], rest)
-        if j == k - 2:
-            for x in range(max(lo, rest - caps[-1]), hi + 1):
-                yield (*head, x, rest - x)
-        else:
-            step = lead + base[j] - 1
-            stack.extend(((*head, x), rest - x, step + x) for x in range(hi, lo - 1, -1))
-
-
 def subgee_profiles(gee: GeeParams) -> Iterator[Profile]:
     """The block profiles of the subgees of `gee`, in (size, lex) order.
 
     These are the profiles that fit their blocks (c_i <= a_i) and satisfy
-    the suffix condition of `is_subgee_profile`.
+    the suffix condition of `is_subgee_profile`.  A profile of size r <= k
+    meets it exactly when every prefix of length i sums to at least
+    i - (k - r).  For each r a depth-first walk on an explicit stack picks
+    c_i from the least value keeping the prefix through position i at that
+    bound up to min(a_i, remaining size); no branch dies, so the walk takes
+    O(k) steps per profile.  The last entry is forced to the remaining
+    size, so the last two are yielded directly.
     """
-    zero = (0,) * gee.k
-    for r in range(gee.k + 1):
-        yield from suffix_fillings(zero, gee.a, r)
+    a, k = gee.a, gee.k
+    if k < 2:  # every size r <= k fits: a_1 >= 1
+        yield from ((r,) * k for r in range(k + 1))
+        return
+    for r in range(k + 1):
+        stack = [((), r, k - r)]  # (head, size left, lead of the prefix over its bound)
+        while stack:
+            head, rest, lead = stack.pop()
+            j = len(head)
+            lo, hi = max(0, 1 - lead), min(a[j], rest)
+            if j == k - 2:
+                for x in range(max(lo, rest - a[-1]), hi + 1):
+                    yield (*head, x, rest - x)
+            else:
+                stack.extend(((*head, x), rest - x, lead + x - 1) for x in range(hi, lo - 1, -1))

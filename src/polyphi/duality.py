@@ -15,12 +15,11 @@ profiles B can be exponentially many: the zero profile has the Catalan
 number C_k of them.  Listing them stays for `--explain`: a walk over
 admissible prefixes yields each B in O(k) steps and carries the product of
 the parities chosen so far, one lookup in per-block parity tuples per step
-instead of k per summand.  CSV output has no column for the list, so
-`phi --format csv` does not walk at all.  `pairing_table` runs the
-DP once over the suffixes that subgee profiles share, so a whole table
-costs O(k) amortized per row instead of O(k^2); `table`, `verify` and
-`oracle` all read their values from it.  Nothing is memoized between
-calls: each request runs the DP afresh.
+instead of k per summand.  `pairing_table` runs the DP once over the
+suffixes that subgee profiles share, so a whole table costs O(k) amortized
+per row instead of O(k^2); `table`, `verify` and `oracle` all read their
+values from it.  Nothing is memoized between calls: each request runs the
+DP afresh.
 """
 
 from __future__ import annotations

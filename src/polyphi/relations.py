@@ -13,10 +13,10 @@ duality functional: solving for it certifies the formula independently.
 from __future__ import annotations
 
 from functools import reduce
-from math import comb, prod
+from math import comb
 from operator import and_
 
-from .combinatorics import GeeParams, IndexSet, _Value, block_counts, subgee_profiles
+from .combinatorics import GeeParams, IndexSet, _Value, block_counts
 from .duality import pairing_table
 from .errors import SizeLimitError
 from .lengths import enumerate_subgees
@@ -69,11 +69,23 @@ class DualityReport(_Value):
 
 
 def subgee_count(gee: GeeParams) -> int:
-    """Exact number of subgees, summed profile by profile."""
-    return sum(
-        prod(comb(ai, ci) for ai, ci in zip(gee.a, profile))
-        for profile in subgee_profiles(gee)
-    )
+    """Exact number of subgees, counted without listing them.
+
+    A DP over the blocks, last block first: counts[s] is the number of ways
+    to choose s elements from the last j blocks with every suffix of length
+    i holding at most i, and a block of a elements adds t of them in
+    comb(a, t) ways.  That takes O(k^2) binomials and O(k^3) products,
+    where the subgee profiles can be exponentially many.
+    """
+    counts = [1]
+    for j, a in enumerate(reversed(gee.a), start=1):
+        ways = [comb(a, t) for t in range(min(a, j) + 1)]
+        step = [0] * (j + 1)
+        for s, c in enumerate(counts):
+            for t, w in enumerate(ways[: j + 1 - s]):  # the suffix holds s + t <= j
+                step[s + t] += c * w
+        counts = step
+    return sum(counts)
 
 
 def build_matrix(gee: GeeParams, *, max_basis: int = DEFAULT_MAX_BASIS) -> RelationMatrix:

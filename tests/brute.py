@@ -20,9 +20,14 @@ lists every ascending tuple and computes the genetic code of each
 candidate is the oracle of the pruned one.  `gene` stdout is rendered
 from the public `genetic_code` by `json.dumps` and plain `str` joins, as
 the oracle of the CLI's renderers, and `phi` text from its json payload.
-`phi --explain` summands are also listed by `suffix_fillings` with each
-term taken as the least of its k parities, the oracle of the walk that
-carries the term.
+`suffix_fillings` is the general prefix-bound walk over the suffix
+condition (any base, caps and budget) that listed both the subgee
+profiles and the `phi --explain` summands in the library before each got
+its own walk (`combinatorics.subgee_profiles` and `duality._summands`).
+It now lives here, checked against the filter, as the oracle of both:
+the subgee profiles are its fillings of the zero base under caps a_i, and
+the summands its fillings under caps equal to the budget, each term
+taken as the least of its k parities.
 """
 
 from __future__ import annotations
@@ -37,10 +42,10 @@ from operator import getitem
 
 from polyphi.combinatorics import (
     IndexSet,
+    Profile,
     binom_parity,
     compositions,
     is_subgee_profile,
-    suffix_fillings,
 )
 from polyphi.errors import (
     EmptySpaceError,
@@ -196,6 +201,41 @@ def fillings_by_filter(base, caps, budget) -> list[tuple[int, ...]]:
         for x in product(*(range(c + 1) for c in caps))
         if sum(x) == budget and is_subgee_profile(tuple(p + q for p, q in zip(base, x)))
     ]
+
+
+def suffix_fillings(base: Profile, caps: Profile, budget: int) -> Iterator[Profile]:
+    """The tuples x with 0 <= x_i <= caps_i summing to `budget` for which
+    base + x meets the suffix condition, in lexicographic order.
+
+    With k = len(base) and T = |base| + budget, every suffix of length j of
+    base + x sums to at most j exactly when T <= k and every prefix of
+    length i sums to at least i - (k - T).  A depth-first walk on an
+    explicit stack picks x_i from the least value keeping the prefix
+    through position i at that bound up to min(caps_i, remaining budget).
+    The last entry is forced to the remaining budget, so the last two are
+    yielded directly.  No branch dies when base meets the suffix condition,
+    T <= k and every cap is positive or the budget is 0, so the walk then
+    takes O(k) steps per yielded tuple.
+    """
+    k = len(base)
+    slack = k - sum(base) - budget
+    if budget < 0 or slack < 0:
+        return
+    if k < 2:  # x is () or (budget,)
+        if k == 0 or budget <= caps[0]:
+            yield (budget,) * k
+        return
+    stack = [((), budget, slack)]  # (head, budget left, lead of the prefix over its bound)
+    while stack:
+        head, rest, lead = stack.pop()
+        j = len(head)
+        lo, hi = max(0, 1 - lead - base[j]), min(caps[j], rest)
+        if j == k - 2:
+            for x in range(max(lo, rest - caps[-1]), hi + 1):
+                yield (*head, x, rest - x)
+        else:
+            step = lead + base[j] - 1
+            stack.extend(((*head, x), rest - x, step + x) for x in range(hi, lo - 1, -1))
 
 
 def subgees_by_profile(gee) -> list[IndexSet]:

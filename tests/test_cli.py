@@ -136,6 +136,13 @@ def test_gene_wraps_at_most_one_gene(capsys, monkeypatch):
     assert len(wrapped) <= 1
 
 
+def test_gene_without_n_exits_2(capsys, monkeypatch):
+    # Every gene of a code contains n; a search that broke that is refused.
+    monkeypatch.setattr("polyphi.cli._genes", lambda lv, max_n: ((1, 3),))
+    code, out, err = run(capsys, "gene", "--lengths", "1,1,1,1,1")
+    assert (code, out, err) == (2, "", "error: gene IndexSet({1, 3}) does not contain n=5\n")
+
+
 def test_gene_csv(capsys):
     code, out, _ = run(capsys, "gene", "--lengths", "1,1,1,1,1", "--format", "csv")
     assert code == 0
@@ -348,6 +355,17 @@ def test_empty_gee_basis_guard_exits_2(capsys):
         code, out, err = run(capsys, command, "--a", "", "--max-basis", "0")
         assert code == 2 and out == ""
         assert err == "error: basis size 1 exceeds max_basis=0\n"
+
+
+def test_basis_guard_counts_without_listing(capsys):
+    # Every subset of {1..24} is a subgee of 24 blocks of one: 2^24 of them,
+    # each with its own profile, so the guard must count, not list.
+    for command in ["verify", "oracle"]:
+        start = time.perf_counter()
+        outcome = run(capsys, command, "--a", ",".join("1" * 24))
+        elapsed = time.perf_counter() - start
+        assert outcome == (2, "", "error: basis size 16777216 exceeds max_basis=20000\n")
+        assert elapsed < 0.5, elapsed
 
 
 def test_verify_json(capsys):

@@ -18,7 +18,6 @@ from polyphi import (
     is_subgee_profile,
     subgee_profiles,
 )
-from polyphi.combinatorics import suffix_fillings
 from polyphi.errors import OutOfRangeError
 
 from brute import (
@@ -27,6 +26,7 @@ from brute import (
     fillings_by_filter,
     greedy_set_leq,
     subgee_profiles_by_filter,
+    suffix_fillings,
 )
 
 
@@ -55,6 +55,8 @@ def test_index_set_equality_is_set_equality():
     assert IndexSet([3, 1]) == IndexSet([1, 3])
     assert hash(IndexSet([3, 1])) == hash(IndexSet([1, 3]))
     assert IndexSet() != IndexSet([1])
+    assert IndexSet([1]).__eq__((1,)) is NotImplemented
+    assert IndexSet([1]) != (1,) and not IndexSet([1]) == (1,)
 
 
 def test_index_set_descending():
@@ -236,7 +238,7 @@ def test_compositions_complete_sorted_unique(total, k):
     assert len(out) == expected
 
 
-# --------------------------------------------------------- suffix_fillings
+# ------------------------------------------- suffix_fillings (brute oracle)
 
 @pytest.mark.parametrize(
     "base, caps, budget, expected",
@@ -291,3 +293,13 @@ def test_subgee_profiles_match_filter():
     for a in gees:
         gee = GeeParams(a)
         assert list(subgee_profiles(gee)) == subgee_profiles_by_filter(gee), a
+    # Against the general walk: a seeded sample of the 4,368 gees with k <= 6
+    # and a_i <= 4 outside the sweep above (all of them take 5 s), then two
+    # seeded gees for each k = 7..10.
+    rng = random.Random(22)
+    wide = [a for k in range(1, 7) for a in product(range(1, 5), repeat=k) if max(a) == 4]
+    gees = rng.sample(wide, 150)
+    gees += [tuple(rng.randint(1, 4) for _ in range(k)) for k in range(7, 11) for _ in range(2)]
+    for a in gees:
+        fillings = [x for r in range(len(a) + 1) for x in suffix_fillings((0,) * len(a), a, r)]
+        assert list(subgee_profiles(GeeParams(a))) == fillings, a

@@ -106,6 +106,12 @@ def test_length_vector_rejects_unsorted_direct_construction():
         LengthVector((Fraction(2), Fraction(1), Fraction(3)))
 
 
+def test_length_vector_rejects_ints_in_direct_construction():
+    # Only normalize() converts: the record itself holds Fractions.
+    with pytest.raises(InvalidLengthError, match="positive rationals, got 1"):
+        LengthVector((1, 2, 3))
+
+
 # ---------------------------------------------- is_short, a helper of the tests
 
 def test_is_short_examples():
@@ -593,6 +599,16 @@ def test_prefix_walk_yields_exactly_the_filtered_tuples():
                     and all(2 * sum(p[j - 1] for j in s) > total for s in escapes)
                 ]
                 assert list(_passing_vectors(n, total, tables)) == passing, (a, n, total)
+
+
+def test_realize_raises_when_the_confirming_code_differs(monkeypatch):
+    # The winner's code is recomputed; a mismatch is a bug, not a miss.
+    def wrong(lengths, **kwargs):
+        return GeneticCode((IndexSet([lengths.n]),), lengths.n)
+
+    monkeypatch.setattr("polyphi.lengths.genetic_code", wrong)
+    with pytest.raises(AssertionError, match=r"does not realize gee \(2, 1\)"):
+        realize_gee(GeeParams((2, 1)))
 
 
 def test_realize_computes_one_genetic_code_per_realized_gee(monkeypatch):

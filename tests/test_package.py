@@ -139,6 +139,31 @@ def test_package_modules_use_every_name_they_import():
         assert imported <= used, (path.name, sorted(imported - used))
 
 
+def test_every_private_definition_has_a_caller():
+    """Each module-level function or class outside its module's `__all__`
+    is named somewhere in the package other than its own definition."""
+    trees = {
+        path.name: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(Path(polyphi.__file__).parent.glob("*.py"))
+    }
+    for name, tree in trees.items():
+        module = importlib.import_module(f"polyphi.{name[:-3]}")
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name in getattr(module, "__all__", ()):
+                continue
+            referenced = any(
+                (isinstance(ref, ast.Name) and ref.id == node.name)
+                or (isinstance(ref, ast.Attribute) and ref.attr == node.name)
+                for other in trees.values()
+                for statement in other.body
+                if statement is not node
+                for ref in ast.walk(statement)
+            )
+            assert referenced, (name, node.name)
+
+
 def test_benchmark_traced_names_resolve():
     """Every `module.attr` the benchmark tracer wraps exists in the package.
 

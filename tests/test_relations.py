@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from itertools import combinations, product
+from math import comb, prod
 
 import pytest
 
@@ -26,7 +28,7 @@ from polyphi import (
 )
 from polyphi.errors import SizeLimitError
 
-from brute import brute_subgees
+from brute import brute_subgees, subgee_profiles_by_filter
 
 
 # ------------------------------------------------------------- build_matrix
@@ -189,12 +191,18 @@ def test_cross_validate_size_guard():
 
 # --------------------------------------------------------------- bookkeeping
 
-@pytest.mark.parametrize("a", [(1,), (2,), (1, 1), (2, 2), (2, 3, 1)])
+_rng = random.Random(22)
+SEEDED_GEES = [tuple(_rng.randint(1, 4) for _ in range(k)) for k in range(1, 9) for _ in range(2)]
+
+
+@pytest.mark.parametrize("a", [(1,), (2,), (1, 1), (2, 2), (2, 3, 1), *SEEDED_GEES])
 def test_subgee_count_matches_enumerations(a):
     gee = GeeParams(a)
     count = subgee_count(gee)
     assert count == len(list(enumerate_subgees(gee)))
-    assert count == len(brute_subgees(a))
+    assert count == sum(prod(map(comb, a, p)) for p in subgee_profiles_by_filter(gee))
+    if gee.span <= 10:
+        assert count == len(brute_subgees(a))
 
 
 def test_annihilation_failures_empty_on_valid_gees():
