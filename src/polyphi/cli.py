@@ -10,9 +10,8 @@ import argparse
 import json
 import sys
 from collections.abc import Callable
-from fractions import Fraction
 from functools import cache
-from itertools import islice
+from itertools import chain, islice
 
 from .combinatorics import GeeParams, IndexSet, block_counts, is_subgee_profile, subgee_profiles
 from .duality import TopMonomial, admissible_summands, pairing_set, pairing_table
@@ -22,6 +21,7 @@ from .lengths import (
     DEFAULT_SEARCH_BOUND,
     GeneticCode,
     LengthVector,
+    _fraction,
     _genes,
     genetic_code,
     monogenic_gee,
@@ -49,7 +49,7 @@ def _parse_lengths(text: str) -> LengthVector:
     values = []
     for tok in tokens:
         try:
-            values.append(Fraction(tok))
+            values.append(_fraction(tok))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational: {tok!r}") from exc
     return normalize(values)
@@ -66,20 +66,20 @@ def _parse_subset(text: str) -> IndexSet:
 # Each command returns (exit code, payload); the payload is the JSON output.
 
 def _cmd_gene(args: argparse.Namespace) -> tuple[int, dict]:
-    # The search's ascending tuples, reversed for output: a code can hold
+    # The search's descending tuples, as they are printed: a code can hold
     # tens of thousands of genes, so none is wrapped in an IndexSet.
     lv = _parse_lengths(args.lengths)
     n = lv.n
     genes = _genes(lv, max_n=args.max_n)
     for g in genes:  # GeneticCode's check: n is the largest index
-        if g[-1] != n:
-            raise ValueError(f"gene {IndexSet._from_ascending(g)} does not contain n={n}")
+        if g[0] != n:
+            raise ValueError(f"gene {IndexSet(g)} does not contain n={n}")
     monogenic = len(genes) == 1
-    gee = monogenic_gee(GeneticCode((IndexSet._from_ascending(genes[0]),), n)) if monogenic else None
+    gee = monogenic_gee(GeneticCode((IndexSet(genes[0]),), n)) if monogenic else None
     return 0, {
         "n": n,
         "generic": True,
-        "code": _Code(g[::-1] for g in genes),
+        "code": _Code(genes),
         "monogenic": monogenic,
         "a": list(gee.a) if gee is not None else None,
     }
@@ -171,8 +171,8 @@ def _cmd_realize(args: argparse.Namespace) -> tuple[int, dict]:
 # Output: one CSV cell rule, and one small text function per command.
 
 class _Code(list):
-    """`gene`'s genes, each a nonempty tuple of plain ints, written by
-    `_json` one row per gene with each distinct int converted once."""
+    """`gene`'s genes, each a tuple of plain ints that opens with n and
+    descends from it, so that `_join_code` writes them all in one join."""
 
     __slots__ = ()
 
@@ -184,21 +184,14 @@ class _Summands(list):
     __slots__ = ()
 
 
-class _Decimals(dict):
-    """`str(i)` for the ints of one rendering, each converted once.
-
-    A code repeats its few indices tens of thousands of times.  0 and 1 are
-    never stored: False and True are the same dict keys as 0 and 1, and a
-    bool must still read as itself.
-    """
-
-    __slots__ = ()
-
-    def __missing__(self, i: object) -> str:
-        s = str(i)
-        if type(i) is int and not 0 <= i <= 1:
-            self[i] = s
-        return s
+def _join_code(code: _Code, open_: str, sep: str, close: str, gap: str) -> str:
+    """The genes written as open_ + their ints joined by sep + close, joined
+    by gap.  Each int is written once: n opens every gene, so it alone
+    carries close + gap + open_, whose first close + gap is cut."""
+    n = code[0][0]
+    lead = close + gap
+    words = [sep + str(i) for i in range(n)] + [lead + open_ + str(n)]
+    return "".join(map(words.__getitem__, chain.from_iterable(code)))[len(lead):] + close
 
 
 def _cell(value: object) -> str:
@@ -208,10 +201,11 @@ def _cell(value: object) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
+    if type(value) is _Code:
+        return _join_code(value, "", " ", "", ";")
     if isinstance(value, (list, tuple)):
         if value and isinstance(value[0], (list, tuple)):
-            decimal = _Decimals().__getitem__
-            return ";".join(" ".join(map(decimal, v)) for v in value)
+            return ";".join(" ".join(map(str, v)) for v in value)
         return " ".join(map(str, value))
     return str(value)
 
@@ -224,11 +218,11 @@ def _json(value: object, indent: str = "") -> str:
 
     The standard encoder falls back to a Python generator per value once
     it indents; here a list of plain ints is joined in one call, and a
-    `gene` code (`_Code`) in one comprehension, converting each distinct
-    int once: together most of every payload.  `phi --explain`'s
-    `_Summands` pairs are written as {"b", "term"} rows from one
-    %-template.  Dicts (with str keys), lists, tuples, str and plain ints
-    are written here; bools, None and other scalars go to `json.dumps`.
+    `gene` code (`_Code`) in one by `_join_code`: together most of every
+    payload.  `phi --explain`'s `_Summands` pairs are written as {"b",
+    "term"} rows from one %-template.  Dicts (with str keys), lists,
+    tuples, str and plain ints are written here; bools, None and other
+    scalars go to `json.dumps`.
     """
     if type(value) is int:
         return str(value)
@@ -247,11 +241,7 @@ def _json(value: object, indent: str = "") -> str:
             body = sep.join([row % (*b, term) for b, term in value])
         elif type(value) is _Code:
             deeper = inner + "  "
-            row_sep = ",\n" + deeper
-            decimal = _Decimals().__getitem__
-            body = sep.join(
-                "[\n" + deeper + row_sep.join(map(decimal, v)) + "\n" + inner + "]" for v in value
-            )
+            body = _join_code(value, "[\n" + deeper, ",\n" + deeper, "\n" + inner + "]", sep)
         elif {*map(type, value)} == {int}:
             body = sep.join(map(str, value))
         else:
@@ -274,16 +264,15 @@ def _tuple(values: list) -> str:
     return "(" + ",".join(map(str, values)) + ")"
 
 
-def _braces(values: list, decimal: Callable[[object], str] = str) -> str:
-    return "{" + ",".join(map(decimal, values)) + "}"
+def _braces(values: list) -> str:
+    return "{" + ",".join(map(str, values)) + "}"
 
 
 def _text_gene(p: dict) -> list[str]:
-    decimal = _Decimals().__getitem__
     lines = [
         f"n: {p['n']}",
         "generic: true",
-        f"code: {'; '.join(_braces(g, decimal) for g in p['code'])}",
+        f"code: {_join_code(p['code'], '{', ',', '}', '; ')}",
         f"monogenic: {_cell(p['monogenic'])}",
     ]
     if p["a"] is not None:

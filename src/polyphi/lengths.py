@@ -6,8 +6,10 @@ clearing denominators, so near-degenerate chambers are never misclassified.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
+from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
@@ -102,13 +104,28 @@ def normalize(raw: Iterable[Fraction | int]) -> LengthVector:
         if isinstance(x, bool):
             raise InvalidLengthError(f"booleans are not side lengths, got {x!r}")
         try:
-            f = Fraction(x)
+            f = _fraction(x)
         except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: infinite Decimals
             raise InvalidLengthError(f"not a rational side length: {x!r}") from exc
         if f <= 0:
             raise InvalidLengthError(f"side lengths must be positive, got {x!r}")
         values.append(f)
     return LengthVector(tuple(sorted(values)))
+
+
+def _fraction(x: object) -> Fraction:
+    """`Fraction(x)`, refusing a string or Decimal whose exponent exceeds
+    Python's int digit limit: Fraction would build ten to that power first."""
+    exponent = 0
+    if isinstance(x, str):
+        _, e, tail = x.lower().rpartition("e")
+        exponent = int(tail) if e else 0  # Fraction reads no string with another tail
+    elif isinstance(x, Decimal) and x.is_finite():
+        exponent = x.as_tuple().exponent
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()  # absent before 3.10.7
+    if limit and abs(exponent) > limit:
+        raise InvalidLengthError(f"exponent of {x!r} exceeds the {limit}-digit limit")
+    return Fraction(x)
 
 
 def is_generic(lengths: LengthVector) -> bool:
@@ -145,25 +162,26 @@ def genetic_code(lengths: LengthVector, *, max_n: int = DEFAULT_MAX_N) -> Geneti
     downward closed and any strict domination factors through such steps.
 
     The search is `_genes`.  The CLI's `gene` command calls it directly and
-    renders its tuples, so that it wraps no gene in an IndexSet; `phi
-    --lengths` and `realize_gee` call this function.
+    renders its descending tuples, so that it wraps no gene in an IndexSet;
+    `phi --lengths` and `realize_gee` call this function.
     """
     genes = _genes(lengths, max_n=max_n)
-    return GeneticCode(tuple(map(IndexSet._from_ascending, genes)), lengths.n)
+    return GeneticCode(tuple(IndexSet._from_ascending(g[::-1]) for g in genes), lengths.n)
 
 
 def _genes(lengths: LengthVector, *, max_n: int) -> list[tuple[int, ...]]:
-    """The genes of `genetic_code`, as ascending tuples in its order, with
+    """The genes of `genetic_code` in its order, as descending tuples, with
     its checks, exceptions and messages.  The CLI's `gene` command calls
     this directly; every other caller goes through `genetic_code`.
 
     The sets are found by a depth-first search that decides the members n-1,
     n-2, ... in turn, on an explicit stack.  An entry carries the count j
-    of undecided sides 1..j, the running sum, the members taken so far as an
-    ascending tuple (taking side j prepends it, and side j+1 is a member
-    exactly when it comes first) and the cost of the cheapest enlargement
-    already fixed by the decided sides: leaving out side j fixes adding it,
-    and taking j when j+1 is absent fixes moving j up to j+1.  A child is
+    of undecided sides 1..j, the running sum, the members taken so far as a
+    descending tuple (taking side j appends it, and side j+1 is a member
+    exactly when it comes last), the set's sort key (below) and the cost of
+    the cheapest enlargement already fixed by the decided sides: leaving
+    out side j fixes adding it, and taking j when j+1 is absent fixes
+    moving j up to j+1.  A child is
     cut before it is pushed when taking side j would make the set long, or
     when no completion of it is maximal.  A completion adds a subset of the
     child's undecided sides 1..i with some sum s (i is j-1, or less after
@@ -199,6 +217,11 @@ def _genes(lengths: LengthVector, *, max_n: int) -> list[tuple[int, ...]]:
     d, and reads a table once per two genes.  Near-equal sides cost more
     than their genes, but 27 sides from 1000..1050, with one gene, visit a
     few thousand nodes.
+
+    Nodes and table rows carry their part of the key K(G), the sum over i
+    in G of 2^n + 2^(n-i): its upper bits hold the size, and of two sets of
+    one size the one holding the smallest element of their difference, the
+    first in lex order, has the larger K.  So K descending is the order.
     """
     n = lengths.n
     if n > max_n:
@@ -213,19 +236,21 @@ def _genes(lengths: LengthVector, *, max_n: int) -> list[tuple[int, ...]]:
     below = [0, *accumulate(ints[:-1])]  # below[i]: the sum of the i shortest sides
     top = (n - 1) // 2
     depth = min(top, _TABLE_DEPTH)
+    # weights[i]: what side i adds to a set's sort key.
+    weights = [(1 << n) + (1 << (n - i)) for i in range(n + 1)]
     # tables[j]: every subset T of sides 1..j as (sum, sum + the cheapest
-    # enlargement inside 1..j without and with moving j up to j+1, T
-    # ascending), sorted by sum; rows leave out side j, then `taken` take it.
+    # enlargement inside 1..j without and with moving j up to j+1, T's key,
+    # T descending), sorted by sum; rows leave out side j, then `taken` take it.
     # `total` stands for "no enlargement", here and below, as it is never short.
-    tables = [[(0, total, total, ())]]
+    tables = [[(0, total, total, 0, ())]]
     for j in range(1, depth + 1):
-        v, up = ints[j - 1], ints[j]
+        v, up, w = ints[j - 1], ints[j], weights[j]
         rows, taken = [], []
-        for x, a, b, t in tables[-1]:
+        for x, a, b, k, t in tables[-1]:
             r = b if b < x + v else x + v
-            rows.append((x, r, r, t))
+            rows.append((x, r, r, k, t))
             a += v
-            taken.append((x + v, a, a if a < x + up else x + up, (*t, j)))
+            taken.append((x + v, a, a if a < x + up else x + up, k + w, (j, *t)))
         rows += taken
         rows.sort()  # by sum first; both halves already are, so timsort merges them
         tables.append(rows)
@@ -238,21 +263,21 @@ def _genes(lengths: LengthVector, *, max_n: int) -> list[tuple[int, ...]]:
         sums.append(sorted({*s, *(x + v for x in s)}))
     sums += ([b] for b in below[top + 1:])
     limit = (total + 1) // 2  # a sum is short exactly when it is below limit
-    genes: list[tuple[int, ...]] = []
-    # (undecided count j, sum, ascending members, cheapest fixed enlargement)
-    stack = [(n - 1, ints[-1], (n,), total)]
+    genes: dict[int, tuple[int, ...]] = {}  # by sort key
+    # (undecided count j, sum, descending members, cheapest fixed enlargement, key)
+    stack = [(n - 1, ints[-1], (n,), total, weights[n])]
     while stack:
-        j, cur, members, cheapest = stack.pop()
+        j, cur, members, cheapest, key = stack.pop()
         room = limit - cur  # the set stays short while it adds less than this
         if j <= depth:
             # The genes below this node: its members plus a subset of sides
             # 1..j that adds less than room but no enlargement of it does.
             s = sums[j]
             hi = bisect_left(s, room)
-            col = 1 if members[0] == j + 1 else 2
+            col = 1 if members[-1] == j + 1 else 2
             for row in tables[j][bisect_left(s, room - cheapest, 0, hi):hi]:
                 if row[col] >= room:
-                    genes.append(row[3] + members)
+                    genes[key + row[3]] = members + row[4]
             continue
         i = j - 1
         side = ints[i]
@@ -261,23 +286,21 @@ def _genes(lengths: LengthVector, *, max_n: int) -> list[tuple[int, ...]]:
             t = bisect_left(ints, room, 0, i)
             s = sums[t]
             if s[bisect_left(s, room) - 1] + cheapest >= room:
-                stack.append((t, cur, members, cheapest))
+                stack.append((t, cur, members, cheapest, key))
             continue
         s = sums[i]
         # Leave out side j, which fixes adding it.
         fixed = side if side < cheapest else cheapest
         if s[bisect_left(s, room) - 1] + fixed >= room:
-            stack.append((i, cur, members, fixed))
+            stack.append((i, cur, members, fixed, key))
         # Take side j; without side j+1 that fixes moving j up to it.
         room -= side
-        if members[0] != j + 1 and ints[j] - side < cheapest:
+        if members[-1] != j + 1 and ints[j] - side < cheapest:
             cheapest = ints[j] - side
         if cheapest and s[bisect_left(s, room) - 1] + cheapest >= room:
-            stack.append((i, cur + side, (j, *members), cheapest))
+            stack.append((i, cur + side, (*members, j), cheapest, key + weights[j]))
 
-    genes.sort()  # lex, then stably by size, largest first
-    genes.sort(key=len, reverse=True)
-    return genes
+    return [genes[k] for k in sorted(genes, reverse=True)]
 
 
 def monogenic_gee(code: GeneticCode) -> GeeParams:

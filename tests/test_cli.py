@@ -138,9 +138,18 @@ def test_gene_wraps_at_most_one_gene(capsys, monkeypatch):
 
 def test_gene_without_n_exits_2(capsys, monkeypatch):
     # Every gene of a code contains n; a search that broke that is refused.
-    monkeypatch.setattr("polyphi.cli._genes", lambda lv, max_n: ((1, 3),))
+    monkeypatch.setattr("polyphi.cli._genes", lambda lv, max_n: ((3, 1),))
     code, out, err = run(capsys, "gene", "--lengths", "1,1,1,1,1")
     assert (code, out, err) == (2, "", "error: gene IndexSet({1, 3}) does not contain n=5\n")
+
+
+@pytest.mark.parametrize("token", ["1e10000000", "1E-10000000", "1e+4301"])
+def test_gene_refuses_exponents_beyond_the_int_digit_limit(capsys, token):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "gene", "--lengths", f"{token},1,1")
+    assert (code, out) == (2, "")
+    assert err == f"error: exponent of {token!r} exceeds the 4300-digit limit\n"
+    assert time.perf_counter() - start < 0.5
 
 
 def test_gene_csv(capsys):

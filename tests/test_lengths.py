@@ -35,7 +35,7 @@ from polyphi.errors import (
     TooFewSidesError,
 )
 
-from polyphi.lengths import _least_undominated, _passing_vectors, _prefix_tables
+from polyphi.lengths import _genes, _least_undominated, _passing_vectors, _prefix_tables
 
 from brute import (
     ascending_tuples,
@@ -87,6 +87,22 @@ def test_normalize_rejects_infinite_decimals(x):
     # Fraction(x) raises OverflowError for these, not ValueError.
     with pytest.raises(InvalidLengthError):
         normalize([x, 1, 1])
+
+
+@pytest.mark.parametrize(
+    "x",
+    ["1e10000000", "1E-10000000", " 2.5e+4301 ", Decimal("1e10000000"), Decimal("1E-4301")],
+)
+def test_normalize_refuses_exponents_beyond_the_int_digit_limit(x):
+    # Fraction(x) would build 10**|exponent| first: seconds at 10**7.
+    start = time.perf_counter()
+    with pytest.raises(InvalidLengthError, match="exceeds the 4300-digit limit"):
+        normalize([x, 1, 1])
+    assert time.perf_counter() - start < 0.5
+
+
+def test_normalize_accepts_exponents_at_the_int_digit_limit():
+    assert normalize(["1e-4300", Decimal("1E4300"), "1"]).lengths[0] == Fraction(1, 10**4300)
 
 
 def test_normalize_rejects_floats():
@@ -367,6 +383,37 @@ def test_completion_tables_match_subset_sum_search():
     for raw in vectors:
         lv = normalize(raw)
         assert _outcome(genetic_code, lv) == _outcome(genetic_code_by_subset_sums, lv), raw
+
+
+def test_genes_descend_from_n_in_brute_order():
+    # `_genes` orders its descending tuples by one int key per gene; the
+    # result must be the brute search's genes, each reversed, in its order.
+    rng = random.Random(20261021)
+    vectors = []
+    for n in range(16, 21):  # as the classify benchmark draws them
+        plain = _odd_total([rng.randint(1, 10**6) for _ in range(n)])
+        factor = (1, 2, Fraction(2, rng.choice((3, 7))))[n % 3]
+        vectors.append([factor * x for x in plain])
+    for n in (17, 19, 21):
+        vectors.append(_odd_total([rng.randint(1000, 1050) for _ in range(n)]))
+    for n in range(5, 16, 2):
+        vectors.append([1] * n)
+        vectors.append(_odd_total([rng.choice((1, 2, 3, 5)) for _ in range(n)]))
+    for n in range(3, 10):
+        for _ in range(4):
+            vectors.append(_odd_total([rng.randint(1, 12) for _ in range(n)]))
+    distinct_sizes = set()
+    for raw in vectors:
+        lv = normalize(raw)
+        if 2 * lv.lengths[-1] > sum(lv.lengths):
+            continue
+        genes = _genes(lv, max_n=30)
+        for g in genes:
+            assert g[0] == lv.n and all(a > b for a, b in zip(g, g[1:])), (raw, g)
+        expected = [g.elements[::-1] for g in genetic_code_by_subset_sums(lv).genes]
+        assert genes == expected, raw
+        distinct_sizes.add(len({*map(len, genes)}))
+    assert max(distinct_sizes) >= 3
 
 
 def test_near_equal_27_gon_codes_within_budget():
