@@ -105,7 +105,8 @@ def normalize(raw: Iterable[Fraction | int]) -> LengthVector:
             raise InvalidLengthError(f"booleans are not side lengths, got {x!r}")
         try:
             f = _fraction(x)
-        except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: infinite Decimals
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+            # OverflowError: infinite Decimals; ZeroDivisionError: "1/0" and "0/0"
             raise InvalidLengthError(f"not a rational side length: {x!r}") from exc
         if f <= 0:
             raise InvalidLengthError(f"side lengths must be positive, got {x!r}")
@@ -334,14 +335,19 @@ def enumerate_subgees(gee: GeeParams) -> Iterator[IndexSet]:
             stack.extend((*head, s) for s in range(bounds[len(head)], head[-1] if head else 0, -1))
 
 
-def _least_undominated(gee: GeeParams, n: int) -> list[tuple[int, ...]]:
-    """The least subsets of {1..n-1} that the gee does not dominate.
+def _least_undominated(gee: GeeParams) -> list[tuple[int, ...]]:
+    """The minimal sets of positive integers that the gee does not dominate.
 
     A set s_1 < ... < s_r escapes g_1 < ... < g_k when r > k, and then it
     dominates {1, ..., k+1}; or when some s_j > g_{k-r+j}, and then it
     dominates the set that runs 1, ..., j-1 and climbs by ones from
     g_{k-r+j}+1.  So every undominated set dominates one of these O(k^2)
-    sets; the ones whose top exceeds n-1 do not occur.
+    sets, and only those that dominate none of the others are kept: a set
+    is long whenever a set it dominates is.  A set that dominates another
+    has the larger sum, so one pass in order of sum keeps exactly these,
+    each repeated set once.  The list is made once per gee; the minimal
+    sets within {1..n-1} are those with top <= n-1, as a set's top is at
+    least the top of every set it dominates.
     """
     k, g = gee.k, gee.prefix_sums
     sets = [tuple(range(1, k + 2))]
@@ -349,20 +355,34 @@ def _least_undominated(gee: GeeParams, n: int) -> list[tuple[int, ...]]:
         for j in range(1, r + 1):
             lo = g[k - r + j - 1] + 1
             sets.append((*range(1, j), *range(lo, lo + r - j + 1)))
-    return [s for s in sets if s[-1] <= n - 1]
+    minimal: list[tuple[int, ...]] = []
+    for s in sorted(sets, key=sum):
+        if not any(len(t) <= len(s) and all(map(int.__le__, t, s[-len(t):])) for t in minimal):
+            minimal.append(s)
+    return minimal
 
 
 def _prefix_tables(n: int, gene: IndexSet, escapes: list[tuple[int, ...]]) -> list[tuple]:
     """For each position q = 1..n-1: whether q is in the gene, how many gene
-    members lie in [q, n), and for each escape set whether q is in it and
-    how many of [q, n) are not.  Every set is taken to contain n."""
-    members = [set(s) for s in escapes]
+    members lie in [q, n), whether q is in each escape set, and for each
+    escape set S the counts that `_passing_vectors` bounds it by: c, the
+    members of [q, n) not in S; a, the members of (q, n) in S but not the
+    gene; and the slope of w in its gene-vs-escape bound.  Every set is
+    taken to contain n."""
     rows = []
-    gene_after, free = 0, [0] * len(escapes)
+    gene_after = 0
+    counts = [(0, 0, 0)] * len(escapes)  # per set: c, a and b over the positions after q
     for q in range(n - 1, 0, -1):
-        gene_after += q in gene
-        free = [f + (q not in s) for f, s in zip(free, members)]
-        rows.append((q in gene, gene_after, tuple(q in s for s in members), tuple(free)))
+        m = n - q - 1  # the positions in (q, n)
+        g = q in gene
+        gene_after += g
+        cuts = []
+        for i, s in enumerate(escapes):
+            c, a, b = counts[i]
+            x = q in s
+            cuts.append((c + (not x), a, (a + 1) * (x - g - b) - a * (m - a + 1)))
+            counts[i] = c + (not x), a + (x and not g), b + (g and not x)
+        rows.append((g, gene_after, tuple(q in s for s in escapes), tuple(cuts)))
     return rows[::-1]
 
 
@@ -379,22 +399,46 @@ def _passing_vectors(n: int, total: int, tables: list[tuple]) -> Iterator[tuple[
       this is >= total.  The bound is not monotone in w, so each w is tested.
     - an escape set S sums to at most e_S + rest - w*c, where c = |[q, n)
       minus S|.  This falls as w grows, so for c > 0 it caps w.
+    - S + {n} long and G short need sum(S + {n}) - sum(G) >= delta =
+      2 - total % 2, and p_n cancels from that difference.  Of the m =
+      n - q - 1 later parts below n, the b in G but not S are each >= w; the
+      a in S but not G are each <= p_n, so with the others >= w they sum to
+      at most a*(rest - (m - a + 1)*w)/(a + 1).  With E = e_S - g, a
+      completion exists only if (a + 1)*(E + w*([q in S] - [q in G] - b))
+      + a*(rest - (m - a + 1)*w) >= (a + 1)*delta.  This is linear in w: a
+      negative slope caps w, a positive one (it is 1) floors it, and a zero
+      slope cuts the prefix when the rest falls short.
 
-    Neither cut drops a vector that passes.  At q = n-1 both bounds are
+    No cut drops a vector that passes.  At q = n-1 the first two bounds are
     exact: p_n = rest - w is the largest part, and an escape set is
     checked exactly at its last non-member, where c = 1 and every later
     part is a member (an escape set with no non-member holds every part
     and is long).  So the walk yields exactly the vectors that pass.
     """
+    delta = 2 - total % 2
     stack = [((), 1, total, 0, (0,) * len(tables[0][2]))]
     while stack:
         parts, lo, rest, gene_sum, escape_sums = stack.pop()
-        in_gene, gene_after, in_escape, free = tables[len(parts)]
+        in_gene, gene_after, in_escape, cuts = tables[len(parts)]
         left = n - len(parts)  # parts still to choose, p_q included; n >= 3 keeps it >= 2
         hi = rest // left
-        for e, c in zip(escape_sums, free):
+        need = gene_sum + delta
+        for e, (c, a, slope) in zip(escape_sums, cuts):
             if c:
-                hi = min(hi, (2 * (e + rest) - total - 1) // (2 * c))
+                cap = (2 * (e + rest) - total - 1) // (2 * c)
+                if cap < hi:
+                    hi = cap
+            y = (a + 1) * (e - need) + a * rest  # w passes while slope*w + y >= 0
+            if slope < 0:
+                cap = y // -slope
+                if cap < hi:
+                    hi = cap
+            elif slope:  # q is in S but not G, b = 0 and a is 0 or m, so the slope is 1
+                if -y > lo:
+                    lo = -y
+            elif y < 0:
+                hi = 0
+                break
         passing = [
             w
             for w in range(lo, hi + 1)
@@ -430,14 +474,17 @@ def realize_gee(gee: GeeParams, search_bound: int = DEFAULT_SEARCH_BOUND) -> Len
     containing n are the sets G dominates: G is short, and S + {n} is long
     for every S in {1..n-1} the gee does not dominate.  Shortness only falls
     down the domination order, so it is enough that S + {n} is long for the
-    least such S (`_least_undominated`, listed once per n).  Both tests are
+    minimal such S (`_least_undominated`: the minimal sets are listed once
+    per gee, and each n keeps those within {1..n-1}).  Both tests are
     strict, so no set sums to half the total and the vector is generic.
     The vectors that pass both tests are listed in lexicographic order by
-    `_passing_vectors`, which cuts a prefix as soon as a bound shows that
-    no completion passes; the cuts never drop a passing vector, so they do
-    not change which vector wins.  A passing vector has the requested code;
-    `genetic_code` confirms the winner, raising AssertionError on a mismatch,
-    without its `max_n` guard: the code it lists has one gene, whatever n is.
+    `_passing_vectors`, which cuts a prefix as soon as one of three bounds
+    (the gene short, each escape set long, each escape set longer than the
+    gene) shows that no completion passes; the cuts never drop a passing
+    vector, so they do not change which vector wins.  A passing vector has
+    the requested code; `genetic_code` confirms the winner, raising
+    AssertionError on a mismatch, without its `max_n` guard: the code it
+    lists has one gene, whatever n is.
 
     Raises RealizationNotFoundError when no candidate with total length
     <= search_bound realizes the code.
@@ -445,10 +492,12 @@ def realize_gee(gee: GeeParams, search_bound: int = DEFAULT_SEARCH_BOUND) -> Len
     check_ints((search_bound,), 1, "search bound must be positive")
     n_min = max(3, gee.span + 1)
     n_max = n_min + gee.k + 2
+    least = _least_undominated(gee)
     searches = {}
     for n in range(n_min, min(n_max, search_bound) + 1):
         gene = IndexSet([*gee.gee(), n])
-        searches[n] = GeneticCode((gene,), n), _prefix_tables(n, gene, _least_undominated(gee, n))
+        escapes = [s for s in least if s[-1] < n]
+        searches[n] = GeneticCode((gene,), n), _prefix_tables(n, gene, escapes)
     for total in range(n_min, search_bound + 1):
         for n in range(n_min, min(n_max, total) + 1):
             target, tables = searches[n]

@@ -17,9 +17,12 @@ whose cut bounds only the largest completion, fast enough to check
 search that walks every level down to its leaves, where `genetic_code`
 reads the last levels from completion tables.  A realize search that
 lists every ascending tuple and computes the genetic code of each
-candidate is the oracle of the pruned one.  `gene` stdout is rendered
-from the public `genetic_code` by `json.dumps` and plain `str` joins, as
-the oracle of the CLI's renderers, and `phi` text from its json payload.
+candidate is the oracle of the pruned one, and the prefix walk with only
+its gene bound and escape caps, over all O(k^2) least undominated sets,
+is the oracle of the walk that also weighs each minimal set against the
+gene.  `gene` stdout is rendered from the public `genetic_code` by
+`json.dumps` and plain `str` joins, as the oracle of the CLI's renderers,
+and `phi` text from its json payload.
 `suffix_fillings` is the general prefix-bound walk over the suffix
 condition (any base, caps and budget) that listed both the subgee
 profiles and the `phi --explain` summands in the library before each got
@@ -529,6 +532,89 @@ def realize_by_genetic_code(gee, search_bound: int) -> LengthVector:
                     continue
                 if code == target:
                     return candidate
+    raise RealizationNotFoundError(
+        f"no integer length vector with total <= {search_bound} realizes gee {gee.a}"
+    )
+
+
+def least_undominated_unreduced(gee, n: int) -> list[tuple[int, ...]]:
+    """The O(k^2) least subsets of {1..n-1} that the gee does not dominate,
+    before the library drops those that dominate another: {1, ..., k+1},
+    and for each size r <= k and position j <= r the set 1, ..., j-1 that
+    climbs by ones from g_{k-r+j}+1.  Those with top above n-1 are left out."""
+    k, g = gee.k, gee.prefix_sums
+    sets = [tuple(range(1, k + 2))]
+    for r in range(1, k + 1):
+        for j in range(1, r + 1):
+            lo = g[k - r + j - 1] + 1
+            sets.append((*range(1, j), *range(lo, lo + r - j + 1)))
+    return [s for s in sets if s[-1] <= n - 1]
+
+
+def two_bound_tables(n: int, gene, escapes: list[tuple[int, ...]]) -> list[tuple]:
+    """For each position q = 1..n-1: whether q is in the gene, how many gene
+    members lie in [q, n), and for each escape set whether q is in it and
+    how many of [q, n) are not.  Every set is taken to contain n."""
+    members = [set(s) for s in escapes]
+    rows = []
+    gene_after, free = 0, [0] * len(escapes)
+    for q in range(n - 1, 0, -1):
+        gene_after += q in gene
+        free = [f + (q not in s) for f, s in zip(free, members)]
+        rows.append((q in gene, gene_after, tuple(q in s for s in members), tuple(free)))
+    return rows[::-1]
+
+
+def passing_vectors_by_two_bounds(
+    n: int, total: int, tables: list[tuple]
+) -> Iterator[tuple[int, ...]]:
+    """The prefix walk of `realize_gee` with only its gene bound and escape
+    caps, and no cut that weighs an escape set against the gene: the sorted
+    positive vectors summing to `total` on which the gene is short and every
+    escape set long, in lex order (`two_bound_tables` gives the tables)."""
+    stack = [((), 1, total, 0, (0,) * len(tables[0][2]))]
+    while stack:
+        parts, lo, rest, gene_sum, escape_sums = stack.pop()
+        in_gene, gene_after, in_escape, free = tables[len(parts)]
+        left = n - len(parts)
+        hi = rest // left
+        for e, c in zip(escape_sums, free):
+            if c:
+                hi = min(hi, (2 * (e + rest) - total - 1) // (2 * c))
+        passing = [
+            w
+            for w in range(lo, hi + 1)
+            if 2 * (gene_sum + w * gene_after + max(w, -(-(rest - w) // (left - 1)))) < total
+        ]
+        if left == 2:
+            for w in passing:
+                yield (*parts, w, rest - w)
+            continue
+        stack.extend(
+            (
+                (*parts, w),
+                w,
+                rest - w,
+                gene_sum + w if in_gene else gene_sum,
+                tuple(e + w if f else e for e, f in zip(escape_sums, in_escape)),
+            )
+            for w in reversed(passing)
+        )
+
+
+def realize_by_two_bounds(gee, search_bound: int) -> LengthVector:
+    """`realize_gee` over `passing_vectors_by_two_bounds` and every set of
+    `least_undominated_unreduced`: same scan order, result and message."""
+    if search_bound < 1:
+        raise ValueError(f"search bound must be positive, got {search_bound}")
+    n_min = max(3, gee.span + 1)
+    n_max = n_min + gee.k + 2
+    for total in range(n_min, search_bound + 1):
+        for n in range(n_min, min(n_max, total) + 1):
+            gene = IndexSet([*gee.gee(), n])
+            tables = two_bound_tables(n, gene, least_undominated_unreduced(gee, n))
+            for parts in passing_vectors_by_two_bounds(n, total, tables):
+                return LengthVector(tuple(Fraction(p) for p in parts))
     raise RealizationNotFoundError(
         f"no integer length vector with total <= {search_bound} realizes gee {gee.a}"
     )

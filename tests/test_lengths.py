@@ -48,8 +48,12 @@ from brute import (
     genetic_code_by_subset_sums,
     greedy_set_leq,
     is_short,
+    least_undominated_unreduced,
+    passing_vectors_by_two_bounds,
     realize_by_genetic_code,
+    realize_by_two_bounds,
     subgees_by_profile,
+    two_bound_tables,
 )
 
 
@@ -86,6 +90,13 @@ def test_normalize_rejects_nonpositive(raw):
 def test_normalize_rejects_infinite_decimals(x):
     # Fraction(x) raises OverflowError for these, not ValueError.
     with pytest.raises(InvalidLengthError):
+        normalize([x, 1, 1])
+
+
+@pytest.mark.parametrize("x", ["1/0", "0/0", "-1/0"])
+def test_normalize_rejects_zero_denominators(x):
+    # Fraction(x) raises ZeroDivisionError for these, not ValueError.
+    with pytest.raises(InvalidLengthError, match="not a rational side length"):
         normalize([x, 1, 1])
 
 
@@ -620,7 +631,7 @@ def test_least_undominated_sets_are_complete():
     for a in (a for k in range(4) for a in product(range(1, 3), repeat=k)):
         gee = GeeParams(a)
         for n in range(gee.span + 1, gee.span + gee.k + 3):
-            least = _least_undominated(gee, n)
+            least = [s for s in _least_undominated(gee) if s[-1] < n]
             for s in least:
                 assert s[-1] <= n - 1 and not brute_set_leq(s, gee.prefix_sums), (a, n, s)
             for r in range(n):
@@ -629,15 +640,35 @@ def test_least_undominated_sets_are_complete():
                         assert any(brute_set_leq(t, s) for t in least), (a, n, s)
 
 
+def _window(gee):
+    """The side counts n that `realize_gee` tries for the gee."""
+    n_min = max(3, gee.span + 1)
+    return range(n_min, n_min + gee.k + 3)
+
+
+def test_least_undominated_keeps_only_minimal_sets():
+    for a in (a for k in range(5) for a in product(range(1, 4), repeat=k)):
+        gee = GeeParams(a)
+        for n in _window(gee):
+            kept = [s for s in _least_undominated(gee) if s[-1] < n]
+            for s, t in combinations(kept, 2):
+                assert not greedy_set_leq(s, t) and not greedy_set_leq(t, s), (a, n, s, t)
+            for s in least_undominated_unreduced(gee, n):
+                if s not in kept:
+                    assert any(greedy_set_leq(t, s) for t in kept), (a, n, s)
+
+
 def test_prefix_walk_yields_exactly_the_filtered_tuples():
+    # The same tuples in the same order as the walk without the gene-vs-escape
+    # cut over every listed set: that cut drops prefixes, never vectors.
     for a in SMALL_GEES:
         gee = GeeParams(a)
-        n_min = max(3, gee.span + 1)
-        for n in range(n_min, n_min + gee.k + 3):
+        for n in _window(gee):
             gene = IndexSet([*gee.gee(), n])
-            least = _least_undominated(gee, n)
-            tables = _prefix_tables(n, gene, least)
-            escapes = [(*s, n) for s in least]
+            tables = _prefix_tables(n, gene, [s for s in _least_undominated(gee) if s[-1] < n])
+            unreduced = least_undominated_unreduced(gee, n)
+            escapes = [(*s, n) for s in unreduced]
+            two_bound = two_bound_tables(n, gene, unreduced)
             for total in range(n, 21):
                 passing = [
                     p
@@ -646,6 +677,14 @@ def test_prefix_walk_yields_exactly_the_filtered_tuples():
                     and all(2 * sum(p[j - 1] for j in s) > total for s in escapes)
                 ]
                 assert list(_passing_vectors(n, total, tables)) == passing, (a, n, total)
+                assert list(passing_vectors_by_two_bounds(n, total, two_bound)) == passing
+
+
+@pytest.mark.parametrize("a", [(2, 2, 2), (1, 2, 2, 2), (2, 2, 2, 2), (2, 2, 2, 2, 2), (2,) * 6])
+def test_realize_matches_the_two_bound_search_on_unrealizable_gees(a):
+    # Gees no vector realizes (README.md): both searches exhaust every bound.
+    for bound in range(19, 27):
+        assert _realized(realize_gee, a, bound) == _realized(realize_by_two_bounds, a, bound)
 
 
 def test_realize_raises_when_the_confirming_code_differs(monkeypatch):
