@@ -13,8 +13,8 @@ from collections.abc import Callable
 from functools import cache
 from itertools import chain, islice
 
-from .combinatorics import GeeParams, IndexSet, block_counts, is_subgee_profile, subgee_profiles
-from .duality import TopMonomial, admissible_summands, pairing_set, pairing_table
+from .combinatorics import GeeParams, IndexSet, block_counts, is_subgee_profile
+from .duality import TopMonomial, _pairing_rows, admissible_summands, pairing_set
 from .errors import PolyphiError, RealizationNotFoundError, SizeLimitError
 from .lengths import (
     DEFAULT_MAX_N,
@@ -113,14 +113,14 @@ def _cmd_phi(args: argparse.Namespace) -> tuple[int, dict]:
 
 def _cmd_table(args: argparse.Namespace) -> tuple[int, dict]:
     gee = _parse_gee(args.a)
-    # Listing stops one row past the limit: the full count can be exponential in k.
-    profiles = list(islice(subgee_profiles(gee), max(args.max_basis + 1, 0)))
-    if len(profiles) > args.max_basis:
+    # The walk stops one row past the limit: the full count can be exponential in k.
+    rows = list(islice(_pairing_rows(gee), max(args.max_basis + 1, 0)))
+    if len(rows) > args.max_basis:
         raise SizeLimitError(f"table has more than max_basis={args.max_basis} rows")
-    values = pairing_table(gee)
+    rows.sort(key=lambda row: (sum(row[0]), row[0]))  # (size, lex) order
     return 0, {
         "a": list(gee.a),
-        "rows": [{"theta": list(t), "phi": values[t]} for t in profiles],
+        "rows": [{"theta": list(t), "phi": phi} for t, phi in rows],
     }
 
 

@@ -21,7 +21,6 @@ __all__ = [
     "block_counts",
     "is_subgee_profile",
     "compositions",
-    "subgee_profiles",
 ]
 
 # A profile is a tuple of nonnegative per-block counts.
@@ -206,32 +205,3 @@ def compositions(total: int, k: int) -> Iterator[Profile]:
     for first in range(max(total, 0) + 1):
         for rest in compositions(total - first, k - 1):
             yield (first, *rest)
-
-
-def subgee_profiles(gee: GeeParams) -> Iterator[Profile]:
-    """The block profiles of the subgees of `gee`, in (size, lex) order.
-
-    These are the profiles that fit their blocks (c_i <= a_i) and satisfy
-    the suffix condition of `is_subgee_profile`.  A profile of size r <= k
-    meets it exactly when every prefix of length i sums to at least
-    i - (k - r).  For each r a depth-first walk on an explicit stack picks
-    c_i from the least value keeping the prefix through position i at that
-    bound up to min(a_i, remaining size); no branch dies, so the walk takes
-    O(k) steps per profile.  The last entry is forced to the remaining
-    size, so the last two are yielded directly.
-    """
-    a, k = gee.a, gee.k
-    if k < 2:  # every size r <= k fits: a_1 >= 1
-        yield from ((r,) * k for r in range(k + 1))
-        return
-    for r in range(k + 1):
-        stack = [((), r, k - r)]  # (head, size left, lead of the prefix over its bound)
-        while stack:
-            head, rest, lead = stack.pop()
-            j = len(head)
-            lo, hi = max(0, 1 - lead), min(a[j], rest)
-            if j == k - 2:
-                for x in range(max(lo, rest - a[-1]), hi + 1):
-                    yield (*head, x, rest - x)
-            else:
-                stack.extend(((*head, x), rest - x, lead + x - 1) for x in range(hi, lo - 1, -1))

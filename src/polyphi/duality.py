@@ -15,11 +15,12 @@ profiles B can be exponentially many: the zero profile has the Catalan
 number C_k of them.  Listing them stays for `--explain`: a walk over
 admissible prefixes yields each B in O(k) steps and carries the product of
 the parities chosen so far, one lookup in per-block parity tuples per step
-instead of k per summand.  `pairing_table` runs the DP once over the
+instead of k per summand.  `_pairing_rows` runs the DP once over the
 suffixes that subgee profiles share, so a whole table costs O(k) amortized
-per row instead of O(k^2); `table`, `verify` and `oracle` all read their
-values from it.  Nothing is memoized between calls: each request runs the
-DP afresh.
+per row instead of O(k^2).  It is the one walk over the subgee profiles:
+`table` takes its rows from it and sorts them, and `verify` and `oracle`
+read their values from `pairing_table`, the same rows keyed by profile.
+Nothing is memoized between calls: each request runs the DP afresh.
 """
 
 from __future__ import annotations
@@ -135,27 +136,32 @@ def _profile_sum(gee: GeeParams, profile: Profile) -> int:
     return odd >> gee.k & 1
 
 
-def pairing_table(gee: GeeParams) -> dict[Profile, int]:
-    """Duality value of every profile `subgee_profiles` lists, keyed by profile.
+def _pairing_rows(gee: GeeParams) -> Iterator[tuple[Profile, int]]:
+    """Every subgee profile with its duality value, one leaf of the walk at a time.
 
     Runs the DP of `_profile_sum` once per shared suffix, last block first,
     on an explicit stack.  A suffix of length j - 1 and sum s spreads its
     state once over every b <= j; its child with entry t <= min(a_i, j - s)
     shifts that by t and keeps bits 0..j, dropping the terms with b > j - t.
+    The rows come in no useful order, but lazily: a caller may stop early.
     """
     k = gee.k
-    table = {}
     stack = [((), 0, 1)]  # (profile suffix, its sum, odd)
     while stack:
         suffix, s, odd = stack.pop()
         j = len(suffix) + 1
         if j > k:
-            table[suffix] = odd >> k & 1
+            yield suffix, odd >> k & 1
             continue
         a = gee.a[-j]
         spread, keep = _spread(a, j, odd), (1 << (j + 1)) - 1
         stack.extend(((t, *suffix), s + t, (spread << t) & keep) for t in range(min(a, j - s) + 1))
-    return table
+
+
+def pairing_table(gee: GeeParams) -> dict[Profile, int]:
+    """Duality value of every subgee profile (fits its blocks, meets the
+    suffix condition), keyed by profile."""
+    return dict(_pairing_rows(gee))
 
 
 def pairing_set(gee: GeeParams, subscripts: IndexSet) -> int:

@@ -26,11 +26,11 @@ and `phi` text from its json payload.
 `suffix_fillings` is the general prefix-bound walk over the suffix
 condition (any base, caps and budget) that listed both the subgee
 profiles and the `phi --explain` summands in the library before each got
-its own walk (`combinatorics.subgee_profiles` and `duality._summands`).
-It now lives here, checked against the filter, as the oracle of both:
-the subgee profiles are its fillings of the zero base under caps a_i, and
-the summands its fillings under caps equal to the budget, each term
-taken as the least of its k parities.
+its own walk (the suffix walk of `duality.pairing_table` and
+`duality._summands`).  It now lives here, checked against the filter, as
+the oracle of both: `pairing_table`'s key set is its fillings of the zero
+base under caps a_i, and the summands its fillings under caps equal to
+the budget, each term taken as the least of its k parities.
 """
 
 from __future__ import annotations

@@ -8,15 +8,16 @@ import json
 import random
 import time
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from polyphi import IndexSet, normalize
+from polyphi import GeeParams, IndexSet, normalize, pairing_by_profile
 from polyphi.cli import _build_parser, _cell, _json, main
 
-from brute import gene_stdouts, phi_text
+from brute import gene_stdouts, phi_text, subgee_profiles_by_filter
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -342,6 +343,31 @@ def test_table_guard_counts_rows_not_block_fillings(capsys):
     code, out, _ = run(capsys, "table", "--a", "50,50,50", "--format", "json")
     assert code == 0
     assert len(json.loads(out)["rows"]) == 14
+
+
+def test_table_rows_are_the_subgee_profiles_in_size_lex_order(capsys):
+    # Every gee with k <= 5 and a_i <= 3, and four larger ones: the rows
+    # list each subgee profile once, in (size, lex) order, with its value.
+    gees = [a for k in range(6) for a in product(range(1, 4), repeat=k)]
+    gees += [(1, 2, 1, 2, 1, 2, 1), (3,) * 7, (2, 1, 3, 1, 1, 3, 2, 1), (1,) * 8]
+    for a in gees:
+        gee = GeeParams(a)
+        code, out, _ = run(capsys, "table", "--a", ",".join(map(str, a)), "--format", "json")
+        assert code == 0, a
+        rows = json.loads(out)["rows"]
+        assert [tuple(row["theta"]) for row in rows] == subgee_profiles_by_filter(gee), a
+        for row in rows:
+            assert row["phi"] == pairing_by_profile(gee, row["theta"]), (a, row)
+
+
+def test_table_guard_stops_the_walk(capsys):
+    # 24 blocks of one have 2^24 subgee profiles: the walk must stop one row
+    # past the limit, not list them all.
+    start = time.perf_counter()
+    outcome = run(capsys, "table", "--a", ",".join("1" * 24))
+    elapsed = time.perf_counter() - start
+    assert outcome == (2, "", "error: table has more than max_basis=20000 rows\n")
+    assert elapsed < 0.5, elapsed
 
 
 # --------------------------------------------------------------------- verify

@@ -16,7 +16,6 @@ from polyphi import (
     block_counts,
     compositions,
     is_subgee_profile,
-    subgee_profiles,
 )
 from polyphi.errors import OutOfRangeError
 
@@ -25,7 +24,6 @@ from brute import (
     exact_binomial,
     fillings_by_filter,
     greedy_set_leq,
-    subgee_profiles_by_filter,
     suffix_fillings,
 )
 
@@ -284,22 +282,3 @@ def test_suffix_fillings_match_filter():
         expected = fillings_by_filter(base, caps, budget)
         assert list(suffix_fillings(base, caps, budget)) == expected, (base, caps, budget)
 
-
-# --------------------------------------------------------- subgee_profiles
-
-def test_subgee_profiles_match_filter():
-    gees = [a for k in range(6) for a in product(range(1, 4), repeat=k)]
-    gees += [(1, 2, 1, 2, 1, 2, 1), (3,) * 7, (2, 1, 3, 1, 1, 3, 2, 1), (1,) * 8]
-    for a in gees:
-        gee = GeeParams(a)
-        assert list(subgee_profiles(gee)) == subgee_profiles_by_filter(gee), a
-    # Against the general walk: a seeded sample of the 4,368 gees with k <= 6
-    # and a_i <= 4 outside the sweep above (all of them take 5 s), then two
-    # seeded gees for each k = 7..10.
-    rng = random.Random(22)
-    wide = [a for k in range(1, 7) for a in product(range(1, 5), repeat=k) if max(a) == 4]
-    gees = rng.sample(wide, 150)
-    gees += [tuple(rng.randint(1, 4) for _ in range(k)) for k in range(7, 11) for _ in range(2)]
-    for a in gees:
-        fillings = [x for r in range(len(a) + 1) for x in suffix_fillings((0,) * len(a), a, r)]
-        assert list(subgee_profiles(GeeParams(a))) == fillings, a

@@ -23,7 +23,6 @@ from polyphi import (
     pairing_by_profile,
     pairing_set,
     pairing_table,
-    subgee_profiles,
 )
 from polyphi.errors import InfeasibleProfileError
 
@@ -31,6 +30,8 @@ from brute import (
     brute_subgees,
     profile_sum_by_enumeration,
     summands_by_enumeration,
+    subgee_profiles_by_filter,
+    suffix_fillings,
     summands_by_fillings,
     theta_of,
 )
@@ -189,19 +190,33 @@ def test_carried_term_walk_matches_suffix_fillings():
 
 def test_pairing_table_matches_per_profile_dp():
     # The values at k <= 5 and a_i <= 3 are checked against enumeration
-    # above.  Here: the key sets there, and seeded gees up to k = 12, whose
-    # tables reach about 50,000 rows, on 200 sampled rows each.
+    # above.  Here: the key sets there against the filter; against
+    # `suffix_fillings`, a seeded sample of the 4,368 gees with k <= 6 and
+    # a_i <= 4 outside that sweep and two seeded gees for each k = 7..10;
+    # and seeded gees up to k = 12, whose tables reach about 50,000 rows,
+    # on 200 sampled rows each.
     for k in range(6):
         for a in product(range(1, 4), repeat=k):
             gee = GeeParams(a)
-            assert set(pairing_table(gee)) == set(subgee_profiles(gee)), a
+            assert set(pairing_table(gee)) == set(subgee_profiles_by_filter(gee)), a
+    rng = random.Random(22)
+    wide = [a for k in range(1, 7) for a in product(range(1, 5), repeat=k) if max(a) == 4]
+    gees = rng.sample(wide, 150)
+    gees += [tuple(rng.randint(1, 4) for _ in range(k)) for k in range(7, 11) for _ in range(2)]
+    for a in gees:
+        assert set(pairing_table(GeeParams(a))) == subgee_fillings(a), a
     rng = random.Random(5)
     for k in range(6, 13):
         gee = GeeParams(tuple(rng.randint(1, 2) for _ in range(k)))
         table = pairing_table(gee)
-        assert set(table) == set(subgee_profiles(gee)), gee.a
+        assert set(table) == subgee_fillings(gee.a), gee.a
         for profile in rng.sample(sorted(table), min(200, len(table))):
             assert table[profile] == pairing_by_profile(gee, profile), (gee.a, profile)
+
+
+def subgee_fillings(a: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """The subgee profiles: the fillings of the zero base under caps a_i."""
+    return {x for r in range(len(a) + 1) for x in suffix_fillings((0,) * len(a), a, r)}
 
 
 def test_pairing_table_at_k0_and_twos():

@@ -44,7 +44,6 @@ PUBLIC = {
     "block_counts",
     "is_subgee_profile",
     "compositions",
-    "subgee_profiles",
     # duality
     "TopMonomial",
     "pairing_set",
