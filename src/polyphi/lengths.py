@@ -11,7 +11,7 @@ from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from decimal import Decimal
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, combinations
 from math import lcm
 
 from .combinatorics import GeeParams, IndexSet, _Value, check_ints
@@ -357,9 +357,48 @@ def _least_undominated(gee: GeeParams) -> list[tuple[int, ...]]:
             sets.append((*range(1, j), *range(lo, lo + r - j + 1)))
     minimal: list[tuple[int, ...]] = []
     for s in sorted(sets, key=sum):
-        if not any(len(t) <= len(s) and all(map(int.__le__, t, s[-len(t):])) for t in minimal):
+        if not any(_dominated(t, s) for t in minimal):
             minimal.append(s)
     return minimal
+
+
+def _dominated(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """Whether the ascending multiset a is dominated by the ascending b:
+    |a| <= |b|, and the i-th largest element of a is at most the i-th
+    largest of b.  Then p(a) <= p(b) for every sorted p >= 0, matching
+    each element of a with one of b that is no shorter."""
+    return len(a) <= len(b) and all(map(int.__le__, a, b[len(b) - len(a):]))
+
+
+def _side_counts(gee: GeeParams, least: list[tuple[int, ...]]) -> tuple[int, int]:
+    """The least and largest side count n that `realize_gee` tries: its
+    window from max(3, span+1) to k+2 beyond that, narrowed by two
+    domination certificates, each of which proves that no vector with n
+    sides has the single gene G = gee + {n}.
+
+    - G is short only if p(G) < p(C), C = {1..n-1} minus the gee, so no n
+      passes at which C is dominated by G.  Then C is dominated by G at
+      n-1 too (drop the top of C, and n becomes n-1 in G), so n_min steps
+      up while this holds; from 2k+3 on, C has more elements than G.
+    - For two minimal escape sets S and T, S + {n} and T + {n} long and G
+      short give p(S) + p(T) > 2*p(gee), as p_n cancels.  So no n above
+      both tops passes when S + T is dominated by gee + gee, as multisets.
+
+    The window may come out empty, and then no vector realizes the gee.
+    """
+    g = gee.prefix_sums
+    n_min = max(3, gee.span + 1)
+    n_max = n_min + gee.k + 2
+    while n_min <= 2 * gee.k + 2 and _dominated(
+        tuple(i for i in range(1, n_min) if i not in g), (*g, n_min)
+    ):
+        n_min += 1
+    twice = tuple(sorted(g + g))
+    for s, t in combinations(least, 2):
+        top = max(s[-1], t[-1])
+        if top < n_max and _dominated(tuple(sorted(s + t)), twice):
+            n_max = top
+    return n_min, n_max
 
 
 def _prefix_tables(n: int, gene: IndexSet, escapes: list[tuple[int, ...]]) -> list[tuple]:
@@ -468,7 +507,11 @@ def realize_gee(gee: GeeParams, search_bound: int = DEFAULT_SEARCH_BOUND) -> Len
     minimum (larger n only helps when the gene needs more slack below it),
     and sorted positive integer vectors for that (total, n) are tried in
     lexicographic order.  The first vector that passes the tests below
-    wins, so results are deterministic.
+    wins, so results are deterministic.  Before any total is walked, two
+    domination certificates (`_side_counts`) drop the side counts at which
+    no vector passes, so they do not change the winner; when they drop
+    every side count, no vector realizes the gee, and the error below is
+    raised at once.
 
     A vector has the single gene G = gee + {n} exactly when the short sets
     containing n are the sets G dominates: G is short, and S + {n} is long
@@ -487,18 +530,19 @@ def realize_gee(gee: GeeParams, search_bound: int = DEFAULT_SEARCH_BOUND) -> Len
     lists has one gene, whatever n is.
 
     Raises RealizationNotFoundError when no candidate with total length
-    <= search_bound realizes the code.
+    <= search_bound realizes the code, with the same message whether the
+    bound was exhausted or the certificates left no side count.
     """
     check_ints((search_bound,), 1, "search bound must be positive")
-    n_min = max(3, gee.span + 1)
-    n_max = n_min + gee.k + 2
     least = _least_undominated(gee)
+    n_min, n_max = _side_counts(gee, least)
     searches = {}
     for n in range(n_min, min(n_max, search_bound) + 1):
         gene = IndexSet([*gee.gee(), n])
         escapes = [s for s in least if s[-1] < n]
         searches[n] = GeneticCode((gene,), n), _prefix_tables(n, gene, escapes)
-    for total in range(n_min, search_bound + 1):
+    # With no side count left to try, the totals need no walk.
+    for total in range(n_min, search_bound + 1 if searches else 0):
         for n in range(n_min, min(n_max, total) + 1):
             target, tables = searches[n]
             for parts in _passing_vectors(n, total, tables):

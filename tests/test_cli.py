@@ -476,6 +476,14 @@ def test_realize_unrealizable_gee_exits_1_at_default_bound(capsys):
     assert "40" in err
 
 
+def test_realize_refuses_a_certified_unrealizable_gee_at_any_bound(capsys):
+    assert run(capsys, "realize", "--a", "2,2,2", "--bound", "60") == (
+        1,
+        "",
+        "error: no integer length vector with total <= 60 realizes gee (2, 2, 2)\n",
+    )
+
+
 def test_realize_deep_search_reports_an_error(capsys):
     # n = 1001 sides: the search must not nest one call per side.
     code, out, err = run(capsys, "realize", "--a", "1000", "--bound", "1001")

@@ -35,7 +35,13 @@ from polyphi.errors import (
     TooFewSidesError,
 )
 
-from polyphi.lengths import _genes, _least_undominated, _passing_vectors, _prefix_tables
+from polyphi.lengths import (
+    _genes,
+    _least_undominated,
+    _passing_vectors,
+    _prefix_tables,
+    _side_counts,
+)
 
 from brute import (
     ascending_tuples,
@@ -641,7 +647,8 @@ def test_least_undominated_sets_are_complete():
 
 
 def _window(gee):
-    """The side counts n that `realize_gee` tries for the gee."""
+    """The side counts n of `realize_gee`'s window for the gee, before
+    `_side_counts` drops those its certificates rule out."""
     n_min = max(3, gee.span + 1)
     return range(n_min, n_min + gee.k + 3)
 
@@ -678,6 +685,97 @@ def test_prefix_walk_yields_exactly_the_filtered_tuples():
                 ]
                 assert list(_passing_vectors(n, total, tables)) == passing, (a, n, total)
                 assert list(passing_vectors_by_two_bounds(n, total, two_bound)) == passing
+
+
+def _certified_window(gee):
+    """`_side_counts` from its two certificates, decided with `greedy_set_leq`:
+    n_min steps up while {1..n-1} minus the gee is dominated by gee + {n};
+    n_max is the larger top of any two minimal escape sets that the gee
+    taken twice dominates, if that is below the end of `_window(gee)`."""
+    g = gee.prefix_sums
+    n_min = _window(gee).start
+    while greedy_set_leq([i for i in range(1, n_min) if i not in g], [*g, n_min]):
+        n_min += 1
+    tops = [
+        max(s[-1], t[-1])
+        for s, t in combinations(_least_undominated(gee), 2)
+        if greedy_set_leq(s + t, g + g)
+    ]
+    return n_min, min([_window(gee)[-1], *tops])
+
+
+def test_ruled_out_side_counts_have_no_passing_vector():
+    gees = SMALL_GEES + list(product(range(1, 3), repeat=4))
+    dropped = 0
+    for a in gees:
+        gee = GeeParams(a)
+        n_min, n_max = _side_counts(gee, _least_undominated(gee))
+        assert (n_min, n_max) == _certified_window(gee), a
+        for n in (n for n in _window(gee) if not n_min <= n <= n_max):
+            dropped += 1
+            gene = IndexSet([*gee.gee(), n])
+            escapes = [(*s, n) for s in least_undominated_unreduced(gee, n)]
+            for total in range(n, 21):
+                assert not any(
+                    2 * sum(p[j - 1] for j in gene) < total
+                    and all(2 * sum(p[j - 1] for j in s) > total for s in escapes)
+                    for p in ascending_tuples(n, total)
+                ), (a, n, total)
+            tables = _prefix_tables(n, gene, [s for s in _least_undominated(gee) if s[-1] < n])
+            for total in range(n, 41):
+                assert next(_passing_vectors(n, total, tables), None) is None, (a, n, total)
+    assert dropped == 161
+
+
+def test_kept_side_counts_have_a_passing_vector():
+    # On the 39 gees with k = 1..3 and a_i <= 3 the certificates are decisive:
+    # every side count they keep is realized at some total <= 160.
+    kept = 0
+    for a in (a for a in SMALL_GEES if a):
+        gee = GeeParams(a)
+        least = _least_undominated(gee)
+        n_min, n_max = _side_counts(gee, least)
+        for n in range(n_min, n_max + 1):
+            kept += 1
+            gene = IndexSet([*gee.gee(), n])
+            tables = _prefix_tables(n, gene, [s for s in least if s[-1] < n])
+            assert any(
+                next(_passing_vectors(n, total, tables), None) for total in range(n, 161)
+            ), (a, n)
+    assert kept == 115
+
+
+UNREALIZABLE = [(2,) * k for k in range(3, 9)] + [(1, 2, 2, 2)]
+
+
+@pytest.mark.parametrize("a", UNREALIZABLE)
+def test_unrealizable_gees_are_refused_before_any_walk(a, monkeypatch):
+    def walk(*args):
+        raise AssertionError("the certificates leave no side count to walk")
+
+    monkeypatch.setattr("polyphi.lengths._prefix_tables", walk)
+    monkeypatch.setattr("polyphi.lengths._passing_vectors", walk)
+    for bound in range(19, 61):
+        message = f"no integer length vector with total <= {bound} realizes gee {a}"
+        with pytest.raises(RealizationNotFoundError) as exc:
+            realize_gee(GeeParams(a), bound)
+        assert str(exc.value) == message
+
+
+def test_realize_builds_tables_only_for_kept_side_counts(monkeypatch):
+    built = []
+
+    def counting(n, gene, escapes):
+        built.append(n)
+        return _prefix_tables(n, gene, escapes)
+
+    monkeypatch.setattr("polyphi.lengths._prefix_tables", counting)
+    for a in SMALL_GEES:
+        gee = GeeParams(a)
+        built.clear()
+        _realized(realize_gee, a, 18)
+        n_min, n_max = _side_counts(gee, _least_undominated(gee))
+        assert built == list(range(n_min, min(n_max, 18) + 1)), a
 
 
 @pytest.mark.parametrize("a", [(2, 2, 2), (1, 2, 2, 2), (2, 2, 2, 2), (2, 2, 2, 2, 2), (2,) * 6])
