@@ -1,36 +1,53 @@
-"""Independent brute-force reference implementations used as test oracles.
+"""Independent reference implementations used as test oracles.
 
-Everything here works on plain tuples/frozensets and deliberately avoids the
-library's algorithms: domination is decided by trying every injection,
-and by the greedy pairing `greedy_set_leq`, which is checked against it;
-shortness by summing the scaled lengths;
-genetic codes by pairwise maximality over all subsets, binomials by exact
-falling factorials.  The duality sum is kept in its defining form, built
-from the library's primitives: every composition of the right size,
-filtered by the suffix condition.  Subgee profiles are listed by the same
-filter, as are the suffix fillings behind both, and subgees are expanded
-from the profiles block by block and then sorted.
-A Gray-code walk over all subsets is a second genetic-code oracle,
-exhaustive where `genetic_code` prunes; a third is the pruned search
-whose cut bounds only the largest completion, fast enough to check
-`genetic_code` where the Gray walk is too slow, and a fourth is the
-search that walks every level down to its leaves, where `genetic_code`
-reads the last levels from completion tables.  A realize search that
-lists every ascending tuple and computes the genetic code of each
-candidate is the oracle of the pruned one, and the prefix walk with only
-its gene bound and escape caps, over all O(k^2) least undominated sets,
-is the oracle of the walk that also weighs each minimal set against the
-gene.  `gene` stdout is rendered from the public `genetic_code` by
-`json.dumps` and plain `str` joins, as the oracle of the CLI's renderers,
-and `phi` text from its json payload.
-`suffix_fillings` is the general prefix-bound walk over the suffix
-condition (any base, caps and budget) that listed both the subgee
-profiles and the `phi --explain` summands in the library before each got
-its own walk (the suffix walk of `duality.pairing_table` and
-`duality._summands`).  It now lives here, checked against the filter, as
-the oracle of both: `pairing_table`'s key set is its fillings of the zero
-base under caps a_i, and the summands its fillings under caps equal to
-the budget, each term taken as the least of its k parities.
+Everything here works on plain tuples and frozensets and avoids the
+library's algorithms.  Each layer keeps its definition-level oracle, one
+oracle that walks every candidate without a cut, and at most one pruned
+predecessor for sizes no other oracle reaches; an oracle that no test
+compares against any more is deleted (`test_package.py` checks that every
+function here is named in a test).  The map, by library function:
+
+combinatorics
+  domination          brute_set_leq, every injection (subsets of 1..7);
+                      greedy_set_leq, the i-th largest against the i-th
+                      largest, checked against it and used by other tests
+  binom_parity        exact_binomial (falling factorials), pascal_parity
+  block_counts        theta_of, a direct scan
+lengths
+  is_generic          brute_is_generic, every subset
+  (shortness)         is_short, the scaled lengths summed; the gene tests' helper
+  genetic_code        brute_genetic_code, pairwise maximality over all
+                      subsets: its cost grows with the square of 2^(n-1),
+                      so it reaches n <= 10;
+                      genetic_code_by_gray_walk, every subset in Gray-code
+                      order with no cut, n <= 18;
+                      genetic_code_by_subset_sums, the search that walks
+                      every level to the leaves, the only oracle at n 19-27
+  enumerate_subgees   brute_subgees, every subset (span <= 10);
+                      subgees_by_profile, profiles expanded block by block
+  realize_gee         realize_by_genetic_code, every ascending tuple
+                      (ascending_tuples) with its genetic code computed:
+                      every gee with k <= 3 and a_i <= 4 at totals <= 20,
+                      and five unrealizable gees, k 3-6, at totals <= 26;
+                      least_undominated_unreduced, the O(k^2) escape sets
+                      before reduction, behind the brute filter that checks
+                      _least_undominated, _passing_vectors and _side_counts
+duality
+  admissible_summands summands_by_enumeration, every composition of
+                      k - |profile| filtered by the suffix condition, k <= 6
+  pairing_by_profile, profile_sum_by_enumeration, the same terms summed
+  pairing_table       (k <= 5 and a_i <= 3, and the zero profile of twos up
+                      to k = 11); key sets by subgee_profiles_by_filter
+                      (k <= 5) and by suffix_fillings (k 6-12)
+  suffix_fillings     the general prefix-bound walk over the suffix
+                      condition (any base, caps and budget) that both
+                      library walks replaced; its own oracle is
+                      fillings_by_filter, every tuple under the caps
+relations
+  subgee_count        brute_subgees (span <= 10), subgee_profiles_by_filter
+cli
+  gene stdout         gene_stdouts, json.dumps and str joins of genetic_code
+  phi text            phi_text, rendered from the json payload
 """
 
 from __future__ import annotations
@@ -41,7 +58,6 @@ from collections.abc import Iterator
 from fractions import Fraction
 from itertools import accumulate, combinations, permutations, product
 from math import factorial
-from operator import getitem
 
 from polyphi.combinatorics import (
     IndexSet,
@@ -268,20 +284,6 @@ def summands_by_enumeration(gee, profile) -> list[tuple[tuple[int, ...], int]]:
     ]
 
 
-def summands_by_fillings(gee, profile) -> list[tuple[tuple[int, ...], int]]:
-    """The admissible complementary profiles B with their terms, listed by
-    `suffix_fillings` under caps equal to the budget, each term taken as
-    the least of its k per-block parities."""
-    if not is_subgee_profile(profile):
-        return []
-    budget = gee.k - sum(profile)
-    parities = [tuple(binom_parity(a + b - 2, b) for b in range(budget + 1)) for a in gee.a]
-    return [
-        (b, min(map(getitem, parities, b), default=1))
-        for b in suffix_fillings(profile, (budget,) * gee.k, budget)
-    ]
-
-
 def profile_sum_by_enumeration(gee, profile) -> int:
     """Mod-2 sum of the terms of `summands_by_enumeration`."""
     return sum(term for _, term in summands_by_enumeration(gee, profile)) & 1
@@ -335,52 +337,6 @@ def genetic_code_by_gray_walk(lengths) -> GeneticCode:
 
     genes.sort(key=lambda g: (-len(g), g.elements))
     return GeneticCode(tuple(genes), n)
-
-
-def genetic_code_by_largest_completion(lengths) -> GeneticCode:
-    """`genetic_code` with the cut it had before subset-sum tables: a branch
-    is cut when taking every undecided side (the largest completion) still
-    leaves the cheapest fixed enlargement short.  Any completion that ends
-    in a gene passes this test, so the genes are the same, and the search
-    visits every node `genetic_code` visits and more.  Same ordering,
-    exceptions and messages; no size guard."""
-    n = lengths.n
-    if not is_generic(lengths):
-        raise NotGenericError("length vector is not generic")
-    ints = lengths.scaled()
-    total = sum(ints)
-    if 2 * ints[-1] > total:
-        raise EmptySpaceError(f"{{{n}}} is long, the moduli space is empty")
-
-    below = [0, *accumulate(ints[:-1])]
-    limit = (total + 1) // 2
-    genes = []
-    stack = [(n - 1, ints[-1], (n,), total)]
-    while stack:
-        j, cur, members, cheapest = stack.pop()
-        if not j:
-            genes.append(members)
-            continue
-        i = j - 1
-        side = ints[i]
-        room = limit - cur
-        if side >= room:
-            t = bisect_left(ints, room, 0, i)
-            if below[t] + cheapest >= room:
-                stack.append((t, cur, members, cheapest))
-            continue
-        rest = below[i]
-        fixed = min(side, cheapest)
-        if rest + fixed >= room:
-            stack.append((i, cur, members, fixed))
-        room -= side
-        if members[0] != j + 1:
-            cheapest = min(cheapest, ints[j] - side)
-        if cheapest and rest + cheapest >= room:
-            stack.append((i, cur + side, (j, *members), cheapest))
-
-    genes.sort(key=lambda g: (-len(g), g))
-    return GeneticCode(tuple(IndexSet(g) for g in genes), n)
 
 
 def genetic_code_by_subset_sums(lengths, *, max_n: int = DEFAULT_MAX_N) -> GeneticCode:
@@ -549,72 +505,3 @@ def least_undominated_unreduced(gee, n: int) -> list[tuple[int, ...]]:
             lo = g[k - r + j - 1] + 1
             sets.append((*range(1, j), *range(lo, lo + r - j + 1)))
     return [s for s in sets if s[-1] <= n - 1]
-
-
-def two_bound_tables(n: int, gene, escapes: list[tuple[int, ...]]) -> list[tuple]:
-    """For each position q = 1..n-1: whether q is in the gene, how many gene
-    members lie in [q, n), and for each escape set whether q is in it and
-    how many of [q, n) are not.  Every set is taken to contain n."""
-    members = [set(s) for s in escapes]
-    rows = []
-    gene_after, free = 0, [0] * len(escapes)
-    for q in range(n - 1, 0, -1):
-        gene_after += q in gene
-        free = [f + (q not in s) for f, s in zip(free, members)]
-        rows.append((q in gene, gene_after, tuple(q in s for s in members), tuple(free)))
-    return rows[::-1]
-
-
-def passing_vectors_by_two_bounds(
-    n: int, total: int, tables: list[tuple]
-) -> Iterator[tuple[int, ...]]:
-    """The prefix walk of `realize_gee` with only its gene bound and escape
-    caps, and no cut that weighs an escape set against the gene: the sorted
-    positive vectors summing to `total` on which the gene is short and every
-    escape set long, in lex order (`two_bound_tables` gives the tables)."""
-    stack = [((), 1, total, 0, (0,) * len(tables[0][2]))]
-    while stack:
-        parts, lo, rest, gene_sum, escape_sums = stack.pop()
-        in_gene, gene_after, in_escape, free = tables[len(parts)]
-        left = n - len(parts)
-        hi = rest // left
-        for e, c in zip(escape_sums, free):
-            if c:
-                hi = min(hi, (2 * (e + rest) - total - 1) // (2 * c))
-        passing = [
-            w
-            for w in range(lo, hi + 1)
-            if 2 * (gene_sum + w * gene_after + max(w, -(-(rest - w) // (left - 1)))) < total
-        ]
-        if left == 2:
-            for w in passing:
-                yield (*parts, w, rest - w)
-            continue
-        stack.extend(
-            (
-                (*parts, w),
-                w,
-                rest - w,
-                gene_sum + w if in_gene else gene_sum,
-                tuple(e + w if f else e for e, f in zip(escape_sums, in_escape)),
-            )
-            for w in reversed(passing)
-        )
-
-
-def realize_by_two_bounds(gee, search_bound: int) -> LengthVector:
-    """`realize_gee` over `passing_vectors_by_two_bounds` and every set of
-    `least_undominated_unreduced`: same scan order, result and message."""
-    if search_bound < 1:
-        raise ValueError(f"search bound must be positive, got {search_bound}")
-    n_min = max(3, gee.span + 1)
-    n_max = n_min + gee.k + 2
-    for total in range(n_min, search_bound + 1):
-        for n in range(n_min, min(n_max, total) + 1):
-            gene = IndexSet([*gee.gee(), n])
-            tables = two_bound_tables(n, gene, least_undominated_unreduced(gee, n))
-            for parts in passing_vectors_by_two_bounds(n, total, tables):
-                return LengthVector(tuple(Fraction(p) for p in parts))
-    raise RealizationNotFoundError(
-        f"no integer length vector with total <= {search_bound} realizes gee {gee.a}"
-    )

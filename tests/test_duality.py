@@ -32,7 +32,6 @@ from brute import (
     summands_by_enumeration,
     subgee_profiles_by_filter,
     suffix_fillings,
-    summands_by_fillings,
     theta_of,
 )
 
@@ -167,13 +166,12 @@ def test_transfer_dp_and_pruned_summands_match_enumeration():
         assert tables[gee].get(profile, 0) == value, (gee.a, profile)
 
 
-def test_carried_term_walk_matches_suffix_fillings():
-    # The walk that carries each term down against the listing it replaced:
-    # suffix_fillings with caps at the budget and each term the least of its
-    # k parities.  Every gee with k <= 6 and a_i <= 3 at one seeded profile
+def test_carried_term_walk_matches_enumeration():
+    # The walk that carries each term down, beyond the k <= 5, a_i <= 3
+    # sweep above: every gee with k <= 6 and a_i <= 3 at one seeded profile
     # that fits its blocks, and at its zero profile (Catalan-many B) for
     # k <= 5 and one gee in four at k = 6; and every profile with entries up
-    # to 3, subgee profile or not, on one seeded gee that fits it.  About 0.4 s.
+    # to 3, subgee profile or not, on one seeded gee that fits it.
     rng = random.Random(21)
     cases = []
     for k in range(7):
@@ -185,7 +183,7 @@ def test_carried_term_walk_matches_suffix_fillings():
             cases.append((tuple(max(c, rng.randint(1, 3)) for c in profile), profile))
     for a, profile in cases:
         gee = GeeParams(a)
-        assert admissible_summands(gee, profile) == summands_by_fillings(gee, profile), (a, profile)
+        assert admissible_summands(gee, profile) == summands_by_enumeration(gee, profile), (a, profile)
 
 
 def test_pairing_table_matches_per_profile_dp():

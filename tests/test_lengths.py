@@ -50,16 +50,12 @@ from brute import (
     brute_set_leq,
     brute_subgees,
     genetic_code_by_gray_walk,
-    genetic_code_by_largest_completion,
     genetic_code_by_subset_sums,
     greedy_set_leq,
     is_short,
     least_undominated_unreduced,
-    passing_vectors_by_two_bounds,
     realize_by_genetic_code,
-    realize_by_two_bounds,
     subgees_by_profile,
-    two_bound_tables,
 )
 
 
@@ -356,28 +352,21 @@ def test_pruned_search_matches_gray_walk():
     assert kinds == {GeneticCode, NotGenericError, EmptySpaceError}
 
 
-def test_subset_sum_cut_matches_largest_completion_cut():
-    # Beyond the Gray walk's reach: the cut by exact subset sums of the
-    # shortest sides against the search that bounds only the largest
-    # completion, which visits a superset of its nodes (about 1 s in all).
+def test_completion_tables_match_subset_sum_search():
+    # Beyond the Gray walk's reach: the last levels read from completion
+    # tables against the search that walks every level to the leaves.  The
+    # random draws stop at n = 25: at n = 26 the walk alone takes 0.4-0.6 s
+    # on a 2-core host for the 43,000 to 59,000 genes of a draw.
+    vectors = []
+    # Random, near-equal and small sides for n = 17 to 23.
     rng = random.Random(20261019)
     for n in range(17, 24):
-        for raw in (
-            [rng.randint(1, 10**6) for _ in range(n)],
-            [rng.randint(1000, 1050) for _ in range(n)],
-            [rng.randint(1, 12) for _ in range(n)],
-        ):
-            lv = normalize(_odd_total(raw))
-            assert _outcome(genetic_code, lv) == _outcome(genetic_code_by_largest_completion, lv), raw
-
-
-def test_completion_tables_match_subset_sum_search():
-    # The last levels read from completion tables against the search that
-    # walks every level to the leaves (about 1 s in all).  The random draws
-    # stop at n = 25: at n = 26 the walk alone takes about 0.6 s on the
-    # 50,000 or so genes.
+        vectors += [
+            _odd_total([rng.randint(1, 10**6) for _ in range(n)]),
+            _odd_total([rng.randint(1000, 1050) for _ in range(n)]),
+            _odd_total([rng.randint(1, 12) for _ in range(n)]),
+        ]
     rng = random.Random(20261020)
-    vectors = []
     # As the classify benchmark draws them: plain, doubled, scaled by 2/q.
     for n in range(17, 26):
         plain = _odd_total([rng.randint(1, 10**6) for _ in range(n)])
@@ -628,7 +617,7 @@ def test_realize_matches_genetic_code_search():
 
 
 def test_realize_matches_genetic_code_search_on_every_small_gee():
-    # All 85 gees with k <= 3 and a_i <= 4; about 5 s on a 2-core host.
+    # All 85 gees with k <= 3 and a_i <= 4.
     for a in (a for k in range(4) for a in product(range(1, 5), repeat=k)):
         assert _realized(realize_gee, a, 20) == _realized(realize_by_genetic_code, a, 20), a
 
@@ -666,16 +655,15 @@ def test_least_undominated_keeps_only_minimal_sets():
 
 
 def test_prefix_walk_yields_exactly_the_filtered_tuples():
-    # The same tuples in the same order as the walk without the gene-vs-escape
-    # cut over every listed set: that cut drops prefixes, never vectors.
+    # Over the minimal escape sets, the walk yields in lex order exactly the
+    # sorted tuples on which the gene is short and every one of the O(k^2)
+    # listed escape sets is long: its cuts drop prefixes, never vectors.
     for a in SMALL_GEES:
         gee = GeeParams(a)
         for n in _window(gee):
             gene = IndexSet([*gee.gee(), n])
             tables = _prefix_tables(n, gene, [s for s in _least_undominated(gee) if s[-1] < n])
-            unreduced = least_undominated_unreduced(gee, n)
-            escapes = [(*s, n) for s in unreduced]
-            two_bound = two_bound_tables(n, gene, unreduced)
+            escapes = [(*s, n) for s in least_undominated_unreduced(gee, n)]
             for total in range(n, 21):
                 passing = [
                     p
@@ -684,7 +672,6 @@ def test_prefix_walk_yields_exactly_the_filtered_tuples():
                     and all(2 * sum(p[j - 1] for j in s) > total for s in escapes)
                 ]
                 assert list(_passing_vectors(n, total, tables)) == passing, (a, n, total)
-                assert list(passing_vectors_by_two_bounds(n, total, two_bound)) == passing
 
 
 def _certified_window(gee):
@@ -779,10 +766,14 @@ def test_realize_builds_tables_only_for_kept_side_counts(monkeypatch):
 
 
 @pytest.mark.parametrize("a", [(2, 2, 2), (1, 2, 2, 2), (2, 2, 2, 2), (2, 2, 2, 2, 2), (2,) * 6])
-def test_realize_matches_the_two_bound_search_on_unrealizable_gees(a):
-    # Gees no vector realizes (README.md): both searches exhaust every bound.
+def test_realize_matches_genetic_code_search_on_unrealizable_gees(a):
+    # Gees no vector realizes (README.md).  The search that computes every
+    # candidate's code finds none up to total 26, so none up to any bound
+    # below it either: one search serves every bound from 19 to 26.
+    unfound = f"no integer length vector with total <= {{}} realizes gee {a}"
+    assert _realized(realize_by_genetic_code, a, 26) == unfound.format(26)
     for bound in range(19, 27):
-        assert _realized(realize_gee, a, bound) == _realized(realize_by_two_bounds, a, bound)
+        assert _realized(realize_gee, a, bound) == unfound.format(bound)
 
 
 def test_realize_raises_when_the_confirming_code_differs(monkeypatch):

@@ -163,6 +163,22 @@ def test_every_private_definition_has_a_caller():
             assert referenced, (name, node.name)
 
 
+def test_every_oracle_is_named_in_a_test():
+    """Each top-level function of `tests/brute.py` is named in some test
+    module other than by its import, so an oracle outlives no comparison."""
+    here = Path(__file__).parent
+    named = {
+        ref.id if isinstance(ref, ast.Name) else ref.attr
+        for path in sorted(here.glob("test_*.py"))
+        for ref in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(ref, (ast.Name, ast.Attribute))
+    }
+    path = here / "brute.py"
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.FunctionDef):
+            assert node.name in named, node.name
+
+
 def test_benchmark_traced_names_resolve():
     """Every `module.attr` the benchmark tracer wraps exists in the package.
 
