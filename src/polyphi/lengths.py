@@ -14,6 +14,7 @@ from fractions import Fraction
 from itertools import accumulate, combinations
 from math import lcm
 
+from ._lp import least_total
 from .combinatorics import GeeParams, IndexSet, _Value, check_ints
 from .errors import (
     EmptySpaceError,
@@ -502,16 +503,22 @@ def _passing_vectors(n: int, total: int, tables: list[tuple]) -> Iterator[tuple[
 def realize_gee(gee: GeeParams, search_bound: int = DEFAULT_SEARCH_BOUND) -> LengthVector:
     """Search for an integer length vector whose genetic code is the single gene.
 
-    Candidates are scanned in increasing total length; for each total, the
-    side count n runs from max(3, span+1) up to a window of k+2 beyond that
-    minimum (larger n only helps when the gene needs more slack below it),
-    and sorted positive integer vectors for that (total, n) are tried in
-    lexicographic order.  The first vector that passes the tests below
-    wins, so results are deterministic.  Before any total is walked, two
+    The winner is the first passing vector in the order of total length,
+    then side count n, then lexicographic among sorted positive integer
+    vectors, so results are deterministic.  The side count n runs from
+    max(3, span+1) over a window of k+2 beyond that minimum (larger n only
+    helps when the gene needs more slack below it).  Before any walk, two
     domination certificates (`_side_counts`) drop the side counts at which
-    no vector passes, so they do not change the winner; when they drop
-    every side count, no vector realizes the gee, and the error below is
-    raised at once.
+    no vector passes; when they drop every one, no vector realizes the gee,
+    and the error below is raised at once.  The side counts left are taken
+    in increasing order.  For each, `least_total` solves an exact LP whose
+    least total L_n no passing vector with n sides undercuts, and only then
+    are its prefix tables built and the totals from L_n up to one below the
+    least total found so far (search_bound + 1 before any) walked.  An n whose
+    LP is infeasible, or whose bound reaches that total, is skipped, and the
+    LP stops as soon as its bound does.  A later n replaces the best vector
+    only with a smaller total, and no bound skips a (total, n) pair that has
+    a passing vector, so no bound changes the winner.
 
     A vector has the single gene G = gee + {n} exactly when the short sets
     containing n are the sets G dominates: G is short, and S + {n} is long
@@ -531,25 +538,30 @@ def realize_gee(gee: GeeParams, search_bound: int = DEFAULT_SEARCH_BOUND) -> Len
 
     Raises RealizationNotFoundError when no candidate with total length
     <= search_bound realizes the code, with the same message whether the
-    bound was exhausted or the certificates left no side count.
+    bound was exhausted or the certificates or LPs left no side count.
     """
     check_ints((search_bound,), 1, "search bound must be positive")
     least = _least_undominated(gee)
     n_min, n_max = _side_counts(gee, least)
-    searches = {}
+    best, found = search_bound + 1, None  # the least total found so far, its vector and gene
     for n in range(n_min, min(n_max, search_bound) + 1):
         gene = IndexSet([*gee.gee(), n])
         escapes = [s for s in least if s[-1] < n]
-        searches[n] = GeneticCode((gene,), n), _prefix_tables(n, gene, escapes)
-    # With no side count left to try, the totals need no walk.
-    for total in range(n_min, search_bound + 1 if searches else 0):
-        for n in range(n_min, min(n_max, total) + 1):
-            target, tables = searches[n]
-            for parts in _passing_vectors(n, total, tables):
-                candidate = LengthVector(tuple(Fraction(p) for p in parts))
-                if genetic_code(candidate, max_n=n) != target:
-                    raise AssertionError(f"{parts} does not realize gee {gee.a}")
-                return candidate
-    raise RealizationNotFoundError(
-        f"no integer length vector with total <= {search_bound} realizes gee {gee.a}"
-    )
+        start = least_total(n, gene, escapes, best)
+        if start is None or start >= best:
+            continue
+        tables = _prefix_tables(n, gene, escapes)
+        for total in range(start, best):
+            parts = next(_passing_vectors(n, total, tables), None)
+            if parts:
+                best, found = total, (parts, gene)
+                break
+    if found is None:
+        raise RealizationNotFoundError(
+            f"no integer length vector with total <= {search_bound} realizes gee {gee.a}"
+        )
+    parts, gene = found
+    candidate = LengthVector(tuple(Fraction(p) for p in parts))
+    if genetic_code(candidate, max_n=candidate.n) != GeneticCode((gene,), candidate.n):
+        raise AssertionError(f"{parts} does not realize gee {gee.a}")
+    return candidate

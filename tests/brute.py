@@ -32,6 +32,10 @@ lengths
                       least_undominated_unreduced, the O(k^2) escape sets
                       before reduction, behind the brute filter that checks
                       _least_undominated, _passing_vectors and _side_counts
+  (_lp.least_total)   least_total_by_simplex, a primal simplex over Fractions
+                      on its own rows (d_1 >= 1 a row, not a shift) that
+                      minimises (artificials, T) lexicographically; every n
+                      of the window, k <= 3 and a_i <= 3
 duality
   admissible_summands summands_by_enumeration, every composition of
                       k - |profile| filtered by the suffix condition, k <= 6
@@ -505,3 +509,59 @@ def least_undominated_unreduced(gee, n: int) -> list[tuple[int, ...]]:
             lo = g[k - r + j - 1] + 1
             sets.append((*range(1, j), *range(lo, lo + r - j + 1)))
     return [s for s in sets if s[-1] <= n - 1]
+
+
+def least_total_by_simplex(n: int, gene, escapes) -> Fraction | None:
+    """The least total T of a rational vector p_1 <= ... <= p_n with p_1 >= 1,
+    2p(G) <= T - 1 and 2p(S + {n}) >= T + 1 for each escape set S, or None
+    when there is no such vector.
+
+    The rows are written in the increments d_j = p_j - p_{j-1} >= 0: a set
+    A sums to the sum of d_j times |A in [j, n]|, and p_1 >= 1 is the row
+    d_1 >= 1.  Each row a.d >= 1 gets a surplus and an artificial variable,
+    and one primal simplex over Fractions, under Bland's rule, minimises the
+    pair (sum of artificials, T) lexicographically from the all-artificial
+    basis: the first part is zero at the end exactly when a vector fits.
+    The last two rows of the tableau hold the two parts' reduced costs and,
+    negated, their values.
+    """
+
+    def counts(members):
+        return [sum(i >= j for i in members) for j in range(1, n + 1)]
+
+    sides = counts(range(1, n + 1))
+    rows = [[int(j == 1) for j in range(1, n + 1)]]
+    rows.append([t - 2 * g for t, g in zip(sides, counts(gene))])
+    rows += [[2 * e - t for t, e in zip(sides, counts((*s, n)))] for s in escapes]
+    m = len(rows)
+    tab = [
+        [Fraction(x) for x in row] + [-int(i == k) for k in range(m)]
+        + [int(i == k) for k in range(m)] + [Fraction(1)]
+        for i, row in enumerate(rows)
+    ]
+    # Reduced costs at the all-artificial basis: artificials cost (1, 0), T costs (0, sides).
+    tab.append([-sum(col) for col in zip(*tab[:m])])
+    tab[-1][n + m:-1] = [0] * m
+    tab.append([Fraction(t) for t in sides] + [0] * (2 * m + 1))
+    basis = list(range(n + m, n + 2 * m))
+    while True:
+        enter = next(
+            (j for j, r in enumerate(zip(tab[m], tab[m + 1])) if j < n + 2 * m and r < (0, 0)),
+            None,
+        )
+        if enter is None:
+            break
+        # Every cost is >= 0 on variables >= 0, so some row bounds the step.
+        _, _, r = min(
+            (row[-1] / row[enter], b, i)
+            for i, (b, row) in enumerate(zip(basis, tab))
+            if row[enter] > 0
+        )
+        pivot = tab[r][enter]
+        tab[r] = [x / pivot for x in tab[r]]
+        for i, row in enumerate(tab):
+            if i != r and row[enter]:
+                f = row[enter]
+                tab[i] = [x - f * y for x, y in zip(row, tab[r])]
+        basis[r] = enter
+    return None if tab[m][-1] else -tab[m + 1][-1]

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
 import random
 import time
+from bisect import bisect_left
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, product
@@ -35,6 +37,7 @@ from polyphi.errors import (
     TooFewSidesError,
 )
 
+from polyphi._lp import least_total
 from polyphi.lengths import (
     _genes,
     _least_undominated,
@@ -53,6 +56,7 @@ from brute import (
     genetic_code_by_subset_sums,
     greedy_set_leq,
     is_short,
+    least_total_by_simplex,
     least_undominated_unreduced,
     realize_by_genetic_code,
     subgees_by_profile,
@@ -458,6 +462,23 @@ def test_equilateral_31_gon_code_within_budget():
     assert code_tuples(code) == [tuple(range(17, 32))]
 
 
+def test_equilateral_31_gon_cuts_sets_with_a_free_move(monkeypatch):
+    # A work count, not a clock: with the cut of children whose cheapest
+    # fixed enlargement costs nothing, the search bisects 236 times; without
+    # it, 65,718 times, which a time budget does not tell apart.
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return bisect_left(*args)
+
+    monkeypatch.setattr("polyphi.lengths.bisect_left", counting)
+    code = genetic_code(normalize([1] * 31), max_n=31)
+    assert code_tuples(code) == [tuple(range(17, 32))]
+    assert calls <= 1000
+
+
 def assert_well_formed(code):
     """The genes skip IndexSet's validation, so check what it would: each is
     the set the validating constructor builds, of ascending ints (not bools)
@@ -759,6 +780,9 @@ def test_unrealizable_gees_are_refused_before_any_walk(a, monkeypatch):
 
 
 def test_realize_builds_tables_only_for_kept_side_counts(monkeypatch):
+    # Tables are built only for side counts the certificates keep, in
+    # increasing order, and exactly for those whose LP bound is below the
+    # least passing total of every smaller side count (or the bound, 18).
     built = []
 
     def counting(n, gene, escapes):
@@ -768,10 +792,82 @@ def test_realize_builds_tables_only_for_kept_side_counts(monkeypatch):
     monkeypatch.setattr("polyphi.lengths._prefix_tables", counting)
     for a in SMALL_GEES:
         gee = GeeParams(a)
+        least = _least_undominated(gee)
         built.clear()
         _realized(realize_gee, a, 18)
-        n_min, n_max = _side_counts(gee, _least_undominated(gee))
-        assert built == list(range(n_min, min(n_max, 18) + 1)), a
+        n_min, n_max = _side_counts(gee, least)
+        kept = range(n_min, min(n_max, 18) + 1)
+        assert set(built) <= set(kept), a
+        best, expected = 19, []
+        for n in kept:
+            gene = IndexSet([*gee.gee(), n])
+            escapes = [s for s in least if s[-1] < n]
+            bound = least_total(n, gene, escapes, 10**6)
+            if bound is not None and bound < best:
+                expected.append(n)
+            tables = _prefix_tables(n, gene, escapes)
+            best = next((t for t in range(n, best) if next(_passing_vectors(n, t, tables), None)), best)
+        assert built == expected, a
+
+
+def test_least_total_matches_the_fraction_simplex():
+    # Every side count of the window, the ones the certificates drop too:
+    # the bound is never above the ceiling of the LP minimum and equals it
+    # when that is below the cutoff; otherwise it reaches the cutoff or, on
+    # an infeasible LP, may come out None.
+    for a in SMALL_GEES:
+        gee = GeeParams(a)
+        least = _least_undominated(gee)
+        for n in _window(gee):
+            gene = IndexSet([*gee.gee(), n])
+            escapes = [s for s in least if s[-1] < n]
+            exact = least_total_by_simplex(n, gene, escapes)
+            ceiling = 10**6 if exact is None else math.ceil(exact)
+            for cutoff in range(n, min(ceiling, 40) + 2):
+                bound = least_total(n, gene, escapes, cutoff)
+                if ceiling < cutoff:
+                    assert bound == ceiling, (a, n, cutoff)
+                else:
+                    assert bound is None or cutoff <= bound <= ceiling, (a, n, cutoff)
+            assert least_total(n, gene, escapes, 10**6) == (None if exact is None else ceiling)
+
+
+def test_least_total_is_infeasible_exactly_where_the_certificates_drop():
+    dropped = kept = 0
+    for a in SMALL_GEES + list(product(range(1, 4), repeat=4)):
+        gee = GeeParams(a)
+        least = _least_undominated(gee)
+        n_min, n_max = _side_counts(gee, least)
+        for n in _window(gee):
+            gene = IndexSet([*gee.gee(), n])
+            bound = least_total(n, gene, [s for s in least if s[-1] < n], 10**6)
+            if n_min <= n <= n_max:
+                kept += 1
+                assert bound is not None, (a, n)
+            else:
+                dropped += 1
+                assert bound is None, (a, n)
+    assert (dropped, kept) == (528, 261)
+
+
+def test_least_total_is_the_least_passing_total():
+    # On the 115 side counts the certificates keep for k = 1..3 and a_i <= 3
+    # the LP bound is tight: a vector passes at it and none below it.
+    kept = 0
+    for a in (a for a in SMALL_GEES if a):
+        gee = GeeParams(a)
+        least = _least_undominated(gee)
+        n_min, n_max = _side_counts(gee, least)
+        for n in range(n_min, n_max + 1):
+            kept += 1
+            gene = IndexSet([*gee.gee(), n])
+            escapes = [s for s in least if s[-1] < n]
+            bound = least_total(n, gene, escapes, 10**6)
+            tables = _prefix_tables(n, gene, escapes)
+            assert next(_passing_vectors(n, bound, tables), None), (a, n)
+            below = (next(_passing_vectors(n, t, tables), None) for t in range(n, bound))
+            assert not any(below), (a, n)
+    assert kept == 115
 
 
 @pytest.mark.parametrize("a", [(2, 2, 2), (1, 2, 2, 2), (2, 2, 2, 2), (2, 2, 2, 2, 2), (2,) * 6])
