@@ -371,38 +371,7 @@ def _dominated(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return len(a) <= len(b) and all(map(int.__le__, a, b[len(b) - len(a):]))
 
 
-def _side_counts(gee: GeeParams, least: list[tuple[int, ...]]) -> tuple[int, int]:
-    """The least and largest side count n that `realize_gee` tries: its
-    window from max(3, span+1) to k+2 beyond that, narrowed by two
-    domination certificates, each of which proves that no vector with n
-    sides has the single gene G = gee + {n}.
-
-    - G is short only if p(G) < p(C), C = {1..n-1} minus the gee, so no n
-      passes at which C is dominated by G.  Then C is dominated by G at
-      n-1 too (drop the top of C, and n becomes n-1 in G), so n_min steps
-      up while this holds; from 2k+3 on, C has more elements than G.
-    - For two minimal escape sets S and T, S + {n} and T + {n} long and G
-      short give p(S) + p(T) > 2*p(gee), as p_n cancels.  So no n above
-      both tops passes when S + T is dominated by gee + gee, as multisets.
-
-    The window may come out empty, and then no vector realizes the gee.
-    """
-    g = gee.prefix_sums
-    n_min = max(3, gee.span + 1)
-    n_max = n_min + gee.k + 2
-    while n_min <= 2 * gee.k + 2 and _dominated(
-        tuple(i for i in range(1, n_min) if i not in g), (*g, n_min)
-    ):
-        n_min += 1
-    twice = tuple(sorted(g + g))
-    for s, t in combinations(least, 2):
-        top = max(s[-1], t[-1])
-        if top < n_max and _dominated(tuple(sorted(s + t)), twice):
-            n_max = top
-    return n_min, n_max
-
-
-def _prefix_tables(n: int, gene: IndexSet, escapes: list[tuple[int, ...]]) -> list[tuple]:
+def _prefix_tables(n: int, gene: tuple[int, ...], escapes: list[tuple[int, ...]]) -> list[tuple]:
     """For each position q = 1..n-1: whether q is in the gene, how many gene
     members lie in [q, n), whether q is in each escape set, and for each
     escape set S the counts that `_passing_vectors` bounds it by: c, the
@@ -505,20 +474,24 @@ def realize_gee(gee: GeeParams, search_bound: int = DEFAULT_SEARCH_BOUND) -> Len
 
     The winner is the first passing vector in the order of total length,
     then side count n, then lexicographic among sorted positive integer
-    vectors, so results are deterministic.  The side count n runs from
-    max(3, span+1) over a window of k+2 beyond that minimum (larger n only
-    helps when the gene needs more slack below it).  Before any walk, two
-    domination certificates (`_side_counts`) drop the side counts at which
-    no vector passes; when they drop every one, no vector realizes the gee,
-    and the error below is raised at once.  The side counts left are taken
-    in increasing order.  For each, `least_total` solves an exact LP whose
-    least total L_n no passing vector with n sides undercuts, and only then
-    are its prefix tables built and the totals from L_n up to one below the
-    least total found so far (search_bound + 1 before any) walked.  An n whose
-    LP is infeasible, or whose bound reaches that total, is skipped, and the
-    LP stops as soon as its bound does.  A later n replaces the best vector
-    only with a smaller total, and no bound skips a (total, n) pair that has
-    a passing vector, so no bound changes the winner.
+    vectors, so results are deterministic.  The side count n runs in
+    increasing order from max(3, span+1) over a window of k+2 beyond that
+    minimum (larger n only helps when the gene needs more slack below it).
+    One domination certificate is checked first, once per gee: for two
+    minimal escape sets S and T (below), S + {n} and T + {n} long and G
+    short give p(S) + p(T) > 2*p(gee), as p_n cancels.  So when S + T is
+    dominated by gee + gee, as multisets, no vector with any n realizes the
+    gee, and the error below is raised before any LP.  For each n,
+    `least_total` solves an exact LP whose least total L_n no passing
+    vector with n sides undercuts, and only then are its prefix tables
+    built and the totals from L_n up to one below the least total found so
+    far (search_bound + 1 before any) walked.  An n whose LP is infeasible,
+    or whose bound reaches that total, is skipped, and the LP stops as soon
+    as its bound does.  The LP is infeasible wherever {1..n-1} minus the
+    gee is dominated by G, since G cannot be short there.  A later n replaces
+    the best vector only with a smaller total, and no bound skips a
+    (total, n) pair that has a passing vector, so no bound changes the
+    winner.
 
     A vector has the single gene G = gee + {n} exactly when the short sets
     containing n are the sets G dominates: G is short, and S + {n} is long
@@ -538,14 +511,18 @@ def realize_gee(gee: GeeParams, search_bound: int = DEFAULT_SEARCH_BOUND) -> Len
 
     Raises RealizationNotFoundError when no candidate with total length
     <= search_bound realizes the code, with the same message whether the
-    bound was exhausted or the certificates or LPs left no side count.
+    bound was exhausted or the certificate or the LPs left no side count.
     """
     check_ints((search_bound,), 1, "search bound must be positive")
     least = _least_undominated(gee)
-    n_min, n_max = _side_counts(gee, least)
+    n_min = max(3, gee.span + 1)
+    sides = range(n_min, min(n_min + gee.k + 2, search_bound) + 1)
+    twice = tuple(sorted(gee.prefix_sums * 2))
+    if any(_dominated(sorted(s + t), twice) for s, t in combinations(least, 2)):
+        sides = range(0)
     best, found = search_bound + 1, None  # the least total found so far, its vector and gene
-    for n in range(n_min, min(n_max, search_bound) + 1):
-        gene = IndexSet([*gee.gee(), n])
+    for n in sides:
+        gene = (*gee.prefix_sums, n)
         escapes = [s for s in least if s[-1] < n]
         start = least_total(n, gene, escapes, best)
         if start is None or start >= best:
@@ -562,6 +539,6 @@ def realize_gee(gee: GeeParams, search_bound: int = DEFAULT_SEARCH_BOUND) -> Len
         )
     parts, gene = found
     candidate = LengthVector(tuple(Fraction(p) for p in parts))
-    if genetic_code(candidate, max_n=candidate.n) != GeneticCode((gene,), candidate.n):
+    if genetic_code(candidate, max_n=candidate.n) != GeneticCode((IndexSet(gene),), candidate.n):
         raise AssertionError(f"{parts} does not realize gee {gee.a}")
     return candidate

@@ -31,7 +31,9 @@ lengths
                       and five unrealizable gees, k 3-6, at totals <= 26;
                       least_undominated_unreduced, the O(k^2) escape sets
                       before reduction, behind the brute filter that checks
-                      _least_undominated, _passing_vectors and _side_counts
+                      _least_undominated, _passing_vectors and the side
+                      counts that the certificates of the test-side
+                      _certified_window rule out
   (_lp.least_total)   least_total_by_simplex, a primal simplex over Fractions
                       on its own rows (d_1 >= 1 a row, not a shift) that
                       minimises (artificials, T) lexicographically; every n

@@ -43,7 +43,6 @@ from polyphi.lengths import (
     _least_undominated,
     _passing_vectors,
     _prefix_tables,
-    _side_counts,
 )
 
 from brute import (
@@ -666,8 +665,8 @@ def test_least_undominated_sets_are_complete():
 
 
 def _window(gee):
-    """The side counts n of `realize_gee`'s window for the gee, before
-    `_side_counts` drops those its certificates rule out."""
+    """The side counts n of `realize_gee`'s window for the gee, before its
+    search bound caps it and before `_certified_window` narrows it."""
     n_min = max(3, gee.span + 1)
     return range(n_min, n_min + gee.k + 3)
 
@@ -705,10 +704,13 @@ def test_prefix_walk_yields_exactly_the_filtered_tuples():
 
 
 def _certified_window(gee):
-    """`_side_counts` from its two certificates, decided with `greedy_set_leq`:
-    n_min steps up while {1..n-1} minus the gee is dominated by gee + {n};
-    n_max is the larger top of any two minimal escape sets that the gee
-    taken twice dominates, if that is below the end of `_window(gee)`."""
+    """The least and largest n of `_window(gee)` that two domination
+    certificates leave, decided with `greedy_set_leq`: n_min steps up while
+    {1..n-1} minus the gee is dominated by gee + {n}, where the LP is
+    infeasible; n_max is the larger top of any two minimal escape sets that
+    the gee taken twice dominates, if that is below the end of the window.
+    Such a top is at most the span, so then the window is empty: that is
+    `realize_gee`'s test on the gee."""
     g = gee.prefix_sums
     n_min = _window(gee).start
     while greedy_set_leq([i for i in range(1, n_min) if i not in g], [*g, n_min]):
@@ -726,8 +728,9 @@ def test_ruled_out_side_counts_have_no_passing_vector():
     dropped = 0
     for a in gees:
         gee = GeeParams(a)
-        n_min, n_max = _side_counts(gee, _least_undominated(gee))
-        assert (n_min, n_max) == _certified_window(gee), a
+        n_min, n_max = _certified_window(gee)
+        assert n_max == _window(gee)[-1] or n_max < n_min, a
+        assert isinstance(_realized(realize_gee, a, 160), str) == (n_max < n_min), a
         for n in (n for n in _window(gee) if not n_min <= n <= n_max):
             dropped += 1
             gene = IndexSet([*gee.gee(), n])
@@ -751,7 +754,7 @@ def test_kept_side_counts_have_a_passing_vector():
     for a in (a for a in SMALL_GEES if a):
         gee = GeeParams(a)
         least = _least_undominated(gee)
-        n_min, n_max = _side_counts(gee, least)
+        n_min, n_max = _certified_window(gee)
         for n in range(n_min, n_max + 1):
             kept += 1
             gene = IndexSet([*gee.gee(), n])
@@ -767,9 +770,11 @@ UNREALIZABLE = [(2,) * k for k in range(3, 9)] + [(1, 2, 2, 2)]
 
 @pytest.mark.parametrize("a", UNREALIZABLE)
 def test_unrealizable_gees_are_refused_before_any_walk(a, monkeypatch):
+    # The certificate on the gee refuses these before any LP, table or walk.
     def walk(*args):
-        raise AssertionError("the certificates leave no side count to walk")
+        raise AssertionError("the certificate leaves no side count to try")
 
+    monkeypatch.setattr("polyphi.lengths.least_total", walk)
     monkeypatch.setattr("polyphi.lengths._prefix_tables", walk)
     monkeypatch.setattr("polyphi.lengths._passing_vectors", walk)
     for bound in range(19, 61):
@@ -795,7 +800,7 @@ def test_realize_builds_tables_only_for_kept_side_counts(monkeypatch):
         least = _least_undominated(gee)
         built.clear()
         _realized(realize_gee, a, 18)
-        n_min, n_max = _side_counts(gee, least)
+        n_min, n_max = _certified_window(gee)
         kept = range(n_min, min(n_max, 18) + 1)
         assert set(built) <= set(kept), a
         best, expected = 19, []
@@ -837,7 +842,7 @@ def test_least_total_is_infeasible_exactly_where_the_certificates_drop():
     for a in SMALL_GEES + list(product(range(1, 4), repeat=4)):
         gee = GeeParams(a)
         least = _least_undominated(gee)
-        n_min, n_max = _side_counts(gee, least)
+        n_min, n_max = _certified_window(gee)
         for n in _window(gee):
             gene = IndexSet([*gee.gee(), n])
             bound = least_total(n, gene, [s for s in least if s[-1] < n], 10**6)
@@ -857,7 +862,7 @@ def test_least_total_is_the_least_passing_total():
     for a in (a for a in SMALL_GEES if a):
         gee = GeeParams(a)
         least = _least_undominated(gee)
-        n_min, n_max = _side_counts(gee, least)
+        n_min, n_max = _certified_window(gee)
         for n in range(n_min, n_max + 1):
             kept += 1
             gene = IndexSet([*gee.gee(), n])
