@@ -372,100 +372,79 @@ def _dominated(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
 
 
 def _prefix_tables(n: int, gene: tuple[int, ...], escapes: list[tuple[int, ...]]) -> list[tuple]:
-    """For each position q = 1..n-1: whether q is in the gene, how many gene
-    members lie in [q, n), whether q is in each escape set, and for each
-    escape set S the counts that `_passing_vectors` bounds it by: c, the
-    members of [q, n) not in S; a, the members of (q, n) in S but not the
-    gene; and the slope of w in its gene-vs-escape bound.  Every set is
-    taken to contain n."""
-    rows = []
-    gene_after = 0
-    counts = [(0, 0, 0)] * len(escapes)  # per set: c, a and b over the positions after q
-    for q in range(n - 1, 0, -1):
-        m = n - q - 1  # the positions in (q, n)
-        g = q in gene
-        gene_after += g
-        cuts = []
-        for i, s in enumerate(escapes):
-            c, a, b = counts[i]
-            x = q in s
-            cuts.append((c + (not x), a, (a + 1) * (x - g - b) - a * (m - a + 1)))
-            counts[i] = c + (not x), a + (x and not g), b + (g and not x)
-        rows.append((g, gene_after, tuple(q in s for s in escapes), tuple(cuts)))
-    return rows[::-1]
+    """The rows of `_passing_vectors`, as one entry per row at each position
+    q = 1..n-1.
+
+    A row gives each part p_i a weight u_i: -1 on G for the gene, 1 on S +
+    {n} for each escape set S (the sets exclude n), and then for each S the
+    sum of those two, in which p_n cancels.  The entry is (u_q, U_q, best,
+    length), where U_j = u_j + ... + u_n and best/length is the largest
+    U_j/(n - j + 1) over j > q, with length = n - j + 1 for the shortest
+    suffix that attains it."""
+    gene_row = [-(i in gene) for i in range(1, n + 1)]
+    escape_rows = [[int(i in s) for i in range(1, n)] + [1] for s in escapes]
+    rows = [gene_row, *escape_rows, *([e + g for e, g in zip(u, gene_row)] for u in escape_rows)]
+    tables: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n - 1)]
+    for u in rows:
+        suffix = best = u[-1]
+        length = 1
+        for q in range(n - 1, 0, -1):
+            suffix += u[q - 1]
+            tables[q - 1].append((u[q - 1], suffix, best, length))
+            if suffix * length > best * (n - q + 1):
+                best, length = suffix, n - q + 1
+    return [tuple(entries) for entries in tables]
 
 
 def _passing_vectors(n: int, total: int, tables: list[tuple]) -> Iterator[tuple[int, ...]]:
     """The sorted positive vectors p_1 <= ... <= p_n summing to `total` on
     which the gene is short and every escape set is long, in lex order.
 
-    A depth-first walk on an explicit stack chooses p_q = w after a prefix
-    whose gene sum is g, whose escape sums are e_S, and which leaves `rest`
-    for p_q..p_n.  The later parts are each >= w and sum to rest - w, so:
-
-    - the gene sums to at least g + w*|G in [q, n)| + max(w, ceil((rest - w)
-      / (n - q))), as p_n is the largest later part; w is cut when twice
-      this is >= total.  The bound is not monotone in w, so each w is tested.
-    - an escape set S sums to at most e_S + rest - w*c, where c = |[q, n)
-      minus S|.  This falls as w grows, so for c > 0 it caps w.
-    - S + {n} long and G short need sum(S + {n}) - sum(G) >= delta =
-      2 - total % 2, and p_n cancels from that difference.  Of the m =
-      n - q - 1 later parts below n, the b in G but not S are each >= w; the
-      a in S but not G are each <= p_n, so with the others >= w they sum to
-      at most a*(rest - (m - a + 1)*w)/(a + 1).  With E = e_S - g, a
-      completion exists only if (a + 1)*(E + w*([q in S] - [q in G] - b))
-      + a*(rest - (m - a + 1)*w) >= (a + 1)*delta.  This is linear in w: a
-      negative slope caps w, a positive one (it is 1) floors it, and a zero
-      slope cuts the prefix when the rest falls short.
-
-    No cut drops a vector that passes.  At q = n-1 the first two bounds are
-    exact: p_n = rest - w is the largest part, and an escape set is
-    checked exactly at its last non-member, where c = 1 and every later
-    part is a member (an escape set with no non-member holds every part
-    and is long).  So the walk yields exactly the vectors that pass.
+    Each row of `_prefix_tables` must reach a margin: 1 - (total+1)//2 for
+    the gene (it is short), total//2 + 1 for each escape set (it is long),
+    and their sum, 2 - total % 2, for each escape set against the gene.  A
+    depth-first walk on an explicit stack chooses p_q = w after a prefix
+    that leaves `rest` for p_q..p_n and whose row sums minus margins are s.
+    The later parts are w plus nondecreasing increments summing to R = rest
+    - (n-q+1)*w >= 0.  Those increments form a simplex whose corners put all
+    of R evenly on one suffix p_j..p_n, j > q, so the most a row can still
+    reach over its margin is s + w*U_q + R*best/length.  Times length, this
+    is slope*w + y, with slope = length*U_q - best*(n-q+1) and y = length*s
+    + best*rest: a negative slope caps w, a positive one floors it, and a
+    zero slope cuts the prefix when y < 0.  The bound holds for every real
+    completion, so no cut drops a vector that passes.  At q = n-1 the only
+    completion is p_n = rest - w, so the bound is exact and the walk yields
+    exactly the vectors that pass.
     """
-    delta = 2 - total % 2
-    stack = [((), 1, total, 0, (0,) * len(tables[0][2]))]
+    e = len(tables[0]) // 2  # rows: the gene, e escape sets, each set against the gene
+    sums = ((total + 1) // 2 - 1, *(-(total // 2) - 1,) * e, *(total % 2 - 2,) * e)
+    stack = [((), 1, total, sums)]
     while stack:
-        parts, lo, rest, gene_sum, escape_sums = stack.pop()
-        in_gene, gene_after, in_escape, cuts = tables[len(parts)]
+        parts, lo, rest, sums = stack.pop()
+        entries = tables[len(parts)]
         left = n - len(parts)  # parts still to choose, p_q included; n >= 3 keeps it >= 2
         hi = rest // left
-        need = gene_sum + delta
-        for e, (c, a, slope) in zip(escape_sums, cuts):
-            if c:
-                cap = (2 * (e + rest) - total - 1) // (2 * c)
-                if cap < hi:
-                    hi = cap
-            y = (a + 1) * (e - need) + a * rest  # w passes while slope*w + y >= 0
+        for s, (_, suffix, best, length) in zip(sums, entries):
+            slope = length * suffix - best * left
+            y = length * s + best * rest  # w passes the row while slope*w + y >= 0
             if slope < 0:
                 cap = y // -slope
                 if cap < hi:
                     hi = cap
-            elif slope:  # q is in S but not G, b = 0 and a is 0 or m, so the slope is 1
-                if -y > lo:
-                    lo = -y
+            elif slope:
+                floor = -(y // slope)
+                if floor > lo:
+                    lo = floor
             elif y < 0:
                 hi = 0
                 break
-        passing = [
-            w
-            for w in range(lo, hi + 1)
-            if 2 * (gene_sum + w * gene_after + max(w, -(-(rest - w) // (left - 1)))) < total
-        ]
         if left == 2:
-            for w in passing:
+            for w in range(lo, hi + 1):
                 yield (*parts, w, rest - w)
             continue
         stack.extend(
-            (
-                (*parts, w),
-                w,
-                rest - w,
-                gene_sum + w if in_gene else gene_sum,
-                tuple(e + w if f else e for e, f in zip(escape_sums, in_escape)),
-            )
-            for w in reversed(passing)
+            ((*parts, w), w, rest - w, tuple(s + entry[0] * w for s, entry in zip(sums, entries)))
+            for w in range(hi, lo - 1, -1)
         )
 
 
@@ -501,9 +480,10 @@ def realize_gee(gee: GeeParams, search_bound: int = DEFAULT_SEARCH_BOUND) -> Len
     per gee, and each n keeps those within {1..n-1}).  Both tests are
     strict, so no set sums to half the total and the vector is generic.
     The vectors that pass both tests are listed in lexicographic order by
-    `_passing_vectors`, which cuts a prefix as soon as one of three bounds
-    (the gene short, each escape set long, each escape set longer than the
-    gene) shows that no completion passes; the cuts never drop a passing
+    `_passing_vectors`.  Each test, and each escape set against the gene,
+    is one linear row in the parts, and one rule cuts a prefix on every
+    row: the largest value the row can reach over the prefix's real
+    completions falls short of its margin.  The cuts never drop a passing
     vector, so they do not change which vector wins.  A passing vector has
     the requested code; `genetic_code` confirms the winner, raising
     AssertionError on a mismatch, without its `max_n` guard: the code it

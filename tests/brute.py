@@ -33,7 +33,9 @@ lengths
                       before reduction, behind the brute filter that checks
                       _least_undominated, _passing_vectors and the side
                       counts that the certificates of the test-side
-                      _certified_window rule out
+                      _certified_window rule out; ascending_tuples also
+                      lists the completions whose largest row value each
+                      _prefix_tables bound must reach (n <= 7)
   (_lp.least_total)   least_total_by_simplex, a primal simplex over Fractions
                       on its own rows (d_1 >= 1 a row, not a shift) that
                       minimises (artificials, T) lexicographically; every n

@@ -6,6 +6,7 @@ import math
 import random
 import time
 from bisect import bisect_left
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, product
@@ -701,6 +702,87 @@ def test_prefix_walk_yields_exactly_the_filtered_tuples():
                     and all(2 * sum(p[j - 1] for j in s) > total for s in escapes)
                 ]
                 assert list(_passing_vectors(n, total, tables)) == passing, (a, n, total)
+
+
+def _rows(n, gene, escapes):
+    """The weights over p_1..p_n of `_prefix_tables`' rows: the gene, each
+    escape set S + {n}, and each S + {n} against the gene, the sum of those
+    two rows."""
+    gene_row = [-(i in gene) for i in range(1, n + 1)]
+    escape_rows = [[int(i in s or i == n) for i in range(1, n + 1)] for s in escapes]
+    return [gene_row, *escape_rows, *(list(map(int.__add__, u, gene_row)) for u in escape_rows)]
+
+
+def _kept_prefixes(n, total, tables, margins):
+    """The prefixes of length 1..n-2 on which, at each position, every row's
+    bound from `tables` reaches its margin, counted by length, and the
+    vectors whose every row reaches it.  The bound is taken in fractions,
+    not floored."""
+    kept, leaves = Counter(), []
+    prefixes = [((), [-m for m in margins])]  # parts, and row sums minus margins
+    while prefixes:
+        parts, sums = prefixes.pop()
+        kept[len(parts)] += 1
+        q, rest = len(parts) + 1, total - sum(parts)
+        entries = tables[q - 1]
+        for w in range(parts[-1] if parts else 1, rest // (n - q + 1) + 1):
+            r = rest - (n - q + 1) * w
+            bounds = (s + w * U + Fraction(r * b, m) for s, (_, U, b, m) in zip(sums, entries))
+            if min(bounds) < 0:
+                continue
+            if q == n - 1:
+                leaves.append((*parts, w, rest - w))
+            else:
+                prefixes.append(((*parts, w), [s + u * w for s, (u, *_) in zip(sums, entries)]))
+    del kept[0]
+    return kept, sorted(leaves)
+
+
+def test_row_bound_is_the_largest_completion():
+    # At position q, a row's entry (u_q, U_q, best, length) bounds what
+    # p_q..p_n add to it when p_q = w: w*U_q + R*best/length, with R = rest -
+    # (n-q+1)*w, is at least the largest value over the sorted integer
+    # completions, and equals it at q = n-1 and whenever R is a multiple of
+    # lcm(1..n-q), where every corner of the simplex is an integer
+    # completion.  The walk visits exactly the prefixes on which every row's
+    # bound, in fractions, reaches its margin, and yields their leaves.  The
+    # gees with a part 4 give the gene row slopes above 1, where a floor
+    # rounded the wrong way admits one value too many.
+    class Reads(list):
+        def __getitem__(self, q):
+            reads[q] += 1
+            return list.__getitem__(self, q)
+
+    for a in SMALL_GEES + [a for k in (1, 2) for a in product(range(1, 5), repeat=k) if 4 in a]:
+        gee = GeeParams(a)
+        least = _least_undominated(gee)
+        for n in (n for n in _window(gee) if n <= 7):
+            gene = [*gee.gee(), n]
+            escapes = [s for s in least if s[-1] < n]
+            tables = _prefix_tables(n, IndexSet(gene), escapes)
+            rows = _rows(n, gene, escapes)
+            assert [[entry[0] for entry in t] for t in tables] == [list(u) for u in zip(*rows)][:-1]
+            for q, t in enumerate(tables, start=1):
+                for u, (u_q, U, best, length) in zip(rows, t):
+                    for rest in range(n - q + 1, 21):
+                        for w in range(1, rest // (n - q + 1) + 1):
+                            r = rest - (n - q + 1) * w
+                            bound = w * U + Fraction(r * best, length)
+                            largest = max(
+                                u_q * w + sum(map(int.__mul__, u[q:], later))
+                                for later in ascending_tuples(n - q, rest - w, w)
+                            )
+                            assert bound >= largest, (a, n, u, q, rest, w)
+                            if q == n - 1 or r % math.lcm(*range(1, n - q + 1)) == 0:
+                                assert bound == largest, (a, n, u, q, rest, w)
+            for total in range(n, 21):
+                e = len(escapes)
+                margins = [1 - (total + 1) // 2, *[total // 2 + 1] * e, *[2 - total % 2] * e]
+                kept, leaves = _kept_prefixes(n, total, tables, margins)
+                reads = Counter()
+                assert list(_passing_vectors(n, total, Reads(tables))) == leaves, (a, n, total)
+                del reads[0]  # the root, and the walk's read of its row count
+                assert reads == kept, (a, n, total)
 
 
 def _certified_window(gee):
