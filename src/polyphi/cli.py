@@ -9,12 +9,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from functools import cache
 from itertools import chain, islice
 
 from .combinatorics import GeeParams, IndexSet, block_counts, is_subgee_profile
-from .duality import TopMonomial, _pairing_rows, admissible_summands, pairing_set
+from .duality import TopMonomial, _pairing_rows, _summands, pairing_set
 from .errors import PolyphiError, RealizationNotFoundError, SizeLimitError
 from .lengths import (
     DEFAULT_MAX_N,
@@ -87,7 +87,8 @@ def _cmd_gene(args: argparse.Namespace) -> tuple[int, dict]:
 
 def _cmd_phi(args: argparse.Namespace) -> tuple[int, dict]:
     # CSV output has no column for the --explain summands, so
-    # `phi --format csv` does not walk them at all.
+    # `phi --format csv` does not walk them at all; json and text walk them
+    # once, as they are written.  block_counts fits every entry to its block.
     if args.a is not None:
         gee, n = _parse_gee(args.a), None
     else:
@@ -107,7 +108,7 @@ def _cmd_phi(args: argparse.Namespace) -> tuple[int, dict]:
         "phi": pairing_set(gee, subset),
     }
     if args.explain and profile is not None and args.format != "csv":
-        payload["explain"] = _Summands(admissible_summands(gee, profile))
+        payload["explain"] = _Summands(_summands(gee, profile))
     return 0, payload
 
 
@@ -177,9 +178,10 @@ class _Code(list):
     __slots__ = ()
 
 
-class _Summands(list):
-    """`phi --explain`'s (B, term) pairs, written by `_json` as the rows
-    {"b": B, "term": term} from one template."""
+class _Summands(chain):
+    """`phi --explain`'s (B, term) pairs: an iterator over the one walk,
+    read as they are written, by `_json` as the rows {"b": B, "term": term}
+    from one template and by `_text_phi` one line each."""
 
     __slots__ = ()
 
@@ -213,48 +215,63 @@ def _cell(value: object) -> str:
 _quote = json.encoder.encode_basestring_ascii
 
 
-def _json(value: object, indent: str = "") -> str:
-    """`json.dumps(value, indent=2, sort_keys=True)`, byte for byte.
+def _json(value: object, indent: str = "") -> Iterator[str]:
+    """`json.dumps(value, indent=2, sort_keys=True)`, byte for byte, in pieces.
 
-    The standard encoder falls back to a Python generator per value once
-    it indents; here a list of plain ints is joined in one call, and a
-    `gene` code (`_Code`) in one by `_join_code`: together most of every
-    payload.  `phi --explain`'s `_Summands` pairs are written as {"b",
-    "term"} rows from one %-template.  Dicts (with str keys), lists,
+    One piece per dict key, per list of plain ints (joined in one call), per
+    `gene` code (`_Code`, in one `_join_code`) and per `phi --explain`
+    summand (`_Summands`, each an {"b", "term"} row from one %-template).
+    The pieces are written as they come, so the summands, which can be
+    Catalan-many, are never held all at once.  Dicts (with str keys), lists,
     tuples, str and plain ints are written here; bools, None and other
     scalars go to `json.dumps`.
     """
     if type(value) is int:
-        return str(value)
+        yield str(value)
+        return
     inner = indent + "  "
     sep = ",\n" + inner
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        body = sep.join(f"{_quote(k)}: {_json(v, inner)}" for k, v in sorted(value.items()))
-        return "{\n" + inner + body + "\n" + indent + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        if type(value) is _Summands:
-            row = _summand_template(len(value[0][0]), inner)
-            body = sep.join([row % (*b, term) for b, term in value])
-        elif type(value) is _Code:
-            deeper = inner + "  "
-            body = _join_code(value, "[\n" + deeper, ",\n" + deeper, "\n" + inner + "]", sep)
-        elif {*map(type, value)} == {int}:
-            body = sep.join(map(str, value))
-        else:
-            body = sep.join(_json(v, inner) for v in value)
-        return "[\n" + inner + body + "\n" + indent + "]"
-    if isinstance(value, str):
-        return _quote(value)
-    return json.dumps(value)
+        head = "{\n" + inner
+        for k, v in sorted(value.items()):
+            yield head + _quote(k) + ": "
+            yield from _json(v, inner)
+            head = sep
+        yield "\n" + indent + "}" if value else "{}"
+    elif type(value) is _Summands:
+        first = next(value, None)
+        if first is None:
+            yield "[]"
+            return
+        row = _summand_template(len(first[0]), inner)
+        yield ("[\n" + inner + row) % (*first[0], first[1])
+        row = sep + row
+        for b, term in value:
+            yield row % (*b, term)
+        yield "\n" + indent + "]"
+    elif not isinstance(value, (list, tuple)):
+        yield _quote(value) if isinstance(value, str) else json.dumps(value)
+    elif not value:
+        yield "[]"
+    elif type(value) is _Code:
+        deeper = inner + "  "
+        code = _join_code(value, "[\n" + deeper, ",\n" + deeper, "\n" + inner + "]", sep)
+        yield "[\n" + inner + code + "\n" + indent + "]"
+    elif {*map(type, value)} == {int}:
+        yield "[\n" + inner + sep.join(map(str, value)) + "\n" + indent + "]"
+    else:
+        head = "[\n" + inner
+        for v in value:
+            yield head
+            yield from _json(v, inner)
+            head = sep
+        yield "\n" + indent + "]"
 
 
 def _summand_template(k: int, indent: str) -> str:
-    """`_json({"b": B, "term": term}, indent)` for a B of length k, as a
-    %-template taking the pair (B, term) with B's entries spread."""
+    """What `_json` writes for {"b": B, "term": term} at this indent, for a
+    B of length k, as a %-template taking the pair (B, term) with B's
+    entries spread."""
     inner, deeper = indent + "  ", indent + "    "
     b = "[\n" + deeper + (",\n" + deeper).join(["%d"] * k) + "\n" + inner + "]" if k else "[]"
     return "{\n" + inner + '"b": ' + b + ",\n" + inner + '"term": %d\n' + indent + "}"
@@ -280,14 +297,13 @@ def _text_gene(p: dict) -> list[str]:
     return lines
 
 
-def _text_phi(p: dict) -> list[str]:
+def _text_phi(p: dict) -> Iterator[str]:
     theta = p["theta"]
-    return [
-        f"phi: {p['phi']}",
-        f"theta: {tuple(theta) if theta is not None else 'undefined (subscript beyond gee span)'}",
-        f"subgee: {_cell(p['subgee'])}",
-        *(f"B: {b} term={term}" for b, term in p.get("explain", ())),
-    ]
+    yield f"phi: {p['phi']}"
+    yield f"theta: {tuple(theta) if theta is not None else 'undefined (subscript beyond gee span)'}"
+    yield f"subgee: {_cell(p['subgee'])}"
+    for b, term in p.get("explain", ()):
+        yield f"B: {b} term={term}"
 
 
 def _text_table(p: dict) -> list[str]:
@@ -334,15 +350,20 @@ _COMMANDS = {
 
 
 def _render(
-    fmt: str, payload: dict, columns: list[str], text: Callable[[dict], list[str]]
-) -> str:
+    fmt: str, payload: dict, columns: list[str], text: Callable[[dict], Iterable[str]]
+) -> Iterator[str]:
+    """The output in pieces: json from `_json`, text a line and CSV a row at a time."""
     if fmt == "json":
-        return _json(payload) + "\n"
-    if fmt == "csv":
+        yield from _json(payload)
+        yield "\n"
+    elif fmt == "csv":
         # As csv.writer wrote it: no cell holds a comma, quote or newline, and rows have 2+ cells.
-        rows = [columns] + [[_cell(r[c]) for c in columns] for r in payload.get("rows", [payload])]
-        return "".join(",".join(row) + "\n" for row in rows)
-    return "".join(line + "\n" for line in text(payload))
+        yield ",".join(columns) + "\n"
+        for r in payload.get("rows", [payload]):
+            yield ",".join([_cell(r[c]) for c in columns]) + "\n"
+    else:
+        for line in text(payload):
+            yield line + "\n"
 
 
 @cache  # built on the first call, then shared: parse_args leaves the parser unchanged
@@ -401,7 +422,12 @@ def main(argv: list[str] | None = None) -> int:
     except (PolyphiError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(_render(args.format, payload, columns, text))
+    # Every check has passed, so a failing command writes nothing to stdout.
+    # The pieces go out 64 at a time: memory stays flat, and an
+    # unbuffered stdout (PYTHONUNBUFFERED) is not written once per piece.
+    pieces = _render(args.format, payload, columns, text)
+    while chunk := "".join(islice(pieces, 64)):
+        sys.stdout.write(chunk)
     return code
 
 

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -14,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from polyphi import GeeParams, IndexSet, normalize, pairing_by_profile
+from polyphi import GeeParams, IndexSet, admissible_summands, normalize, pairing_by_profile
 from polyphi.cli import _build_parser, _cell, _json, main
 
 from brute import gene_stdouts, phi_text, subgee_profiles_by_filter
@@ -169,8 +171,8 @@ def test_gene_not_generic_exits_2(capsys):
 
 
 def test_gene_invalid_length_exits_2(capsys):
-    code, _, err = run(capsys, "gene", "--lengths", "1,0,2")
-    assert code == 2
+    code, out, err = run(capsys, "gene", "--lengths", "1,0,2")
+    assert (code, out) == (2, "")
     assert "positive" in err
 
 
@@ -188,8 +190,8 @@ def test_gene_large_coprime_denominators(capsys):
 
 
 def test_gene_size_guard_exits_2(capsys):
-    code, _, err = run(capsys, "gene", "--lengths", "1,1,1,1,1", "--max-n", "4")
-    assert code == 2
+    code, out, err = run(capsys, "gene", "--lengths", "1,1,1,1,1", "--max-n", "4")
+    assert (code, out) == (2, "")
     assert "max_n" in err
 
 
@@ -206,14 +208,61 @@ def test_phi_with_explain(capsys):
 
 
 def test_phi_csv_skips_the_summand_walk(capsys, monkeypatch):
-    # CSV has no column for the summands, so --explain must not list them.
+    # CSV has no column for the summands, so --explain must not walk them.
     def refuse(*args):
-        raise AssertionError("admissible_summands called for CSV output")
+        raise AssertionError("_summands called for CSV output")
 
-    monkeypatch.setattr("polyphi.cli.admissible_summands", refuse)
+    monkeypatch.setattr("polyphi.cli._summands", refuse)
     argv = ("phi", "--a", "2,2,2", "--J", "3", "--explain", "--format", "csv")
     expected = (GOLDEN / "cli" / "phi_explain.csv").read_text()
     assert run(capsys, *argv) == (0, expected, "")
+
+
+class _HashingSink(io.TextIOBase):
+    """A stdout that counts and hashes the bytes written to it, keeping none."""
+
+    def __init__(self) -> None:
+        self.size, self.sha = 0, hashlib.sha256()
+
+    def write(self, text: str) -> int:
+        data = text.encode()
+        self.size += len(data)
+        self.sha.update(data)
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_phi_explain_streams_the_summands(monkeypatch, fmt):
+    # The zero profile at k = 9 has C_9 = 4,862 summands.  They go to stdout
+    # as the walk yields them, so the traced peak is a small share of the
+    # bytes written; a list of the pairs and a rendering of them in memory
+    # come to several times those bytes.
+    gee, zero = GeeParams((2,) * 9), (0,) * 9
+    payload = {
+        "J": [],
+        "a": list(gee.a),
+        "explain": [{"b": list(b), "term": term} for b, term in admissible_summands(gee, zero)],
+        "n": None,
+        "phi": pairing_by_profile(gee, zero),
+        "subgee": True,
+        "theta": list(zero),
+    }
+    assert len(payload["explain"]) == 4862
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n" if fmt == "json" else phi_text(payload)
+    expected = (len(text.encode()), hashlib.sha256(text.encode()).hexdigest())
+    del payload, text
+    argv = ["phi", "--a", ",".join("2" * 9), "--J", "", "--explain", "--format", fmt]
+    _build_parser()  # built once per process; not part of the output's cost
+    sink = _HashingSink()
+    monkeypatch.setattr("sys.stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, sink.size, sink.sha.hexdigest()) == (0, *expected)
+    assert peak < sink.size / 4, (peak, sink.size)
 
 
 def test_phi_csv_explain_at_k13_is_fast(capsys):
@@ -279,21 +328,21 @@ def test_phi_from_lengths(capsys):
 
 
 def test_phi_lengths_not_monogenic_exits_2(capsys):
-    code, _, err = run(capsys, "phi", "--lengths", "1,1,1,2,2,2", "--J", "1")
-    assert code == 2
+    code, out, err = run(capsys, "phi", "--lengths", "1,1,1,2,2,2", "--J", "1")
+    assert (code, out) == (2, "")
     assert "genes" in err
 
 
 def test_phi_malformed_subscripts_exit_2(capsys):
-    code, _, err = run(capsys, "phi", "--a", "2,2", "--J", "1,1")
-    assert code == 2
+    code, out, err = run(capsys, "phi", "--a", "2,2", "--J", "1,1")
+    assert (code, out) == (2, "")
     assert "duplicate" in err
 
 
 def test_phi_monomial_shape_checked_against_lengths(capsys):
     # n=5 allows at most n-3 = 2 subscripts
-    code, _, err = run(capsys, "phi", "--lengths", "1,1,1,1,1", "--J", "1,2,3")
-    assert code == 2
+    code, out, err = run(capsys, "phi", "--lengths", "1,1,1,1,1", "--J", "1,2,3")
+    assert (code, out) == (2, "")
     assert "top degree" in err
 
 
@@ -301,6 +350,7 @@ def test_phi_requires_exactly_one_source(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["phi", "--a", "2", "--lengths", "1,1,1", "--J", ""])
     assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 # ---------------------------------------------------------------------- table
@@ -326,8 +376,8 @@ def test_table_empty_gee(capsys):
 
 
 def test_table_size_guard(capsys):
-    code, _, err = run(capsys, "table", "--a", "3,3,3", "--max-basis", "10")
-    assert code == 2
+    code, out, err = run(capsys, "table", "--a", "3,3,3", "--max-basis", "10")
+    assert (code, out) == (2, "")
     assert "max_basis" in err
 
 
@@ -464,8 +514,8 @@ def test_realize_beyond_the_size_guard(capsys):
 
 
 def test_realize_not_found_exits_1(capsys):
-    code, _, err = run(capsys, "realize", "--a", "1,1", "--bound", "8")
-    assert code == 1
+    code, out, err = run(capsys, "realize", "--a", "1,1", "--bound", "8")
+    assert (code, out) == (1, "")
     assert "8" in err
 
 
@@ -526,7 +576,7 @@ _payloads = st.recursive(
 @example([[6, -5, 4], [-5, 6, 6], [4, -5, 2**70]])  # ints repeated across rows
 @settings(max_examples=150, deadline=None)
 def test_json_writer_matches_json_dumps(value):
-    assert _json(value) == json.dumps(value, indent=2, sort_keys=True)
+    assert "".join(_json(value)) == json.dumps(value, indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize(
@@ -556,13 +606,6 @@ def test_csv_cell_shapes(value, cell):
 
 # ------------------------------------------------------------------ contract
 
-def test_exit_codes_contract(capsys):
-    assert run(capsys, "oracle", "--a", "2")[0] == 0          # success
-    assert run(capsys, "realize", "--a", "1,1", "--bound", "4")[0] == 1  # search failed
-    assert run(capsys, "gene", "--lengths", "1,1,2")[0] == 2  # contract error
-    assert run(capsys, "table", "--a", "0")[0] == 2           # bad increments
-
-
 def _outcome(capsys, argv):
     """Like `run`, but an argparse exit counts as its exit code."""
     try:
@@ -571,6 +614,58 @@ def _outcome(capsys, argv):
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_exit_codes_contract(capsys):
+    assert run(capsys, "oracle", "--a", "2")[0] == 0          # success
+    assert run(capsys, "realize", "--a", "1,1", "--bound", "4")[:2] == (1, "")  # search failed
+    assert run(capsys, "gene", "--lengths", "1,1,2")[:2] == (2, "")  # contract error
+    assert run(capsys, "table", "--a", "0")[:2] == (2, "")           # bad increments
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gene", "--lengths", "1,x,1"],
+        ["gene", "--lengths", ""],
+        ["phi", "--a", "2,0", "--J", "1", "--explain", "--format", "json"],
+        ["phi", "--a", "2,2", "--J", "0", "--explain"],
+        ["phi", "--a", "2,2", "--J", "x", "--explain"],
+        ["phi", "--lengths", "1,1,2", "--J", "", "--explain", "--format", "json"],
+        ["table", "--a", "2,-1", "--format", "json"],
+        ["verify", "--a", "x"],
+        ["oracle", "--a", "0", "--explain", "--format", "json"],
+        ["oracle", "--a", "1,1", "--max-basis", "3", "--format", "csv"],
+        ["realize", "--a", "0"],
+        ["realize", "--a", "1,1", "--bound", "4", "--format", "json"],
+    ],
+)
+def test_failing_commands_write_nothing_to_stdout(capsys, argv):
+    # Output leaves in pieces, so every check runs before its first byte.
+    code, out, err = _outcome(capsys, argv)
+    assert code in (1, 2) and out == "", (code, out)
+    assert err.startswith("error: "), err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["tabulate"],
+        ["gene"],
+        ["gene", "--lengths", "1,1,1", "--max-n", "x"],
+        ["phi", "--a", "2", "--J", "", "--format", "xml"],
+        ["phi", "--a", "2"],
+        ["table", "--a", "2", "--max-basis", "1.5"],
+        ["verify"],
+        ["oracle", "--a", "2", "--explain", "yes"],
+        ["realize", "--a", "2", "--bound", "x"],
+    ],
+)
+def test_argument_errors_write_nothing_to_stdout(capsys, argv):
+    code, out, err = _outcome(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "error: " in err, err
 
 
 def test_parser_shared_between_calls_leaks_no_option(capsys):
@@ -585,6 +680,7 @@ def test_parser_shared_between_calls_leaks_no_option(capsys):
         _build_parser.cache_clear()
         fresh.append(_outcome(capsys, argv))
     assert [code for code, _, _ in fresh] == [0, 0, 2, 0]
+    assert fresh[2][1] == ""
     assert "explain" not in fresh[3][1]
     _build_parser.cache_clear()
     assert [_outcome(capsys, argv) for argv in calls] == fresh
