@@ -14,7 +14,7 @@ from functools import cache
 from itertools import chain, islice
 
 from .combinatorics import GeeParams, IndexSet, block_counts, is_subgee_profile
-from .duality import TopMonomial, _pairing_rows, _summands, pairing_set
+from .duality import TopMonomial, _pairing_rows, _summand_count, _summands, pairing_set
 from .errors import PolyphiError, RealizationNotFoundError, SizeLimitError
 from .lengths import (
     DEFAULT_MAX_N,
@@ -36,6 +36,11 @@ from .relations import (
 )
 
 __all__ = ["main"]
+
+# json and text `phi --explain` refuse a profile with more summands than
+# this: k <= 12 always passes (C_12 = 208,012), and the zero profile at
+# k = 13 (C_13 = 742,900) does not.  CSV output does not list them.
+MAX_EXPLAIN_SUMMANDS = 250_000
 
 
 def _tokens(text: str) -> list[str]:
@@ -87,8 +92,9 @@ def _cmd_gene(args: argparse.Namespace) -> tuple[int, dict]:
 
 def _cmd_phi(args: argparse.Namespace) -> tuple[int, dict]:
     # CSV output has no column for the --explain summands, so
-    # `phi --format csv` does not walk them at all; json and text walk them
-    # once, as they are written.  block_counts fits every entry to its block.
+    # `phi --format csv` does not walk them at all; json and text count them
+    # first, refuse more than MAX_EXPLAIN_SUMMANDS, and walk them once, as
+    # they are written.  block_counts fits every entry to its block.
     if args.a is not None:
         gee, n = _parse_gee(args.a), None
     else:
@@ -108,6 +114,10 @@ def _cmd_phi(args: argparse.Namespace) -> tuple[int, dict]:
         "phi": pairing_set(gee, subset),
     }
     if args.explain and profile is not None and args.format != "csv":
+        if (count := _summand_count(profile)) > MAX_EXPLAIN_SUMMANDS:
+            raise SizeLimitError(
+                f"--explain would list {count} summands, more than the limit of {MAX_EXPLAIN_SUMMANDS}"
+            )
         payload["explain"] = _Summands(_summands(gee, profile))
     return 0, payload
 

@@ -12,20 +12,24 @@ the suffix length (the suffix condition), and it records which states are
 reached by an odd number of weighted choices.  That takes O(k^2) binomial
 parities and O(k^3) bit operations, while the admissible complementary
 profiles B can be exponentially many: the zero profile has the Catalan
-number C_k of them.  Listing them stays for `--explain`: a walk over
-admissible prefixes yields each B in O(k) steps and carries the product of
-the parities chosen so far, one lookup in per-block parity tuples per step
-instead of k per summand.  `_pairing_rows` runs the DP once over the
-suffixes that subgee profiles share, so a whole table costs O(k) amortized
-per row instead of O(k^2).  It is the one walk over the subgee profiles:
-`table` takes its rows from it and sorts them, and `verify` and `oracle`
-read their values from `pairing_table`, the same rows keyed by profile.
-Nothing is memoized between calls: each request runs the DP afresh.
+number C_k of them.  Listing them stays for `--explain`, and meets in the
+middle: a walk lists the admissible heads (the first k // 2 entries of B)
+once, and joins each to the admissible tails for the budget it leaves,
+listed once per budget in the call, so a summand costs one tuple join and
+one AND.  The same DP on integer counts gives the number of summands
+without listing them, which bounds the walk before it starts.
+`_pairing_rows` runs the DP once over the suffixes that subgee profiles
+share, so a whole table costs O(k) amortized per row instead of O(k^2).
+It is the one walk over the subgee profiles: `table` takes its rows from
+it and sorts them, and `verify` and `oracle` read their values from
+`pairing_table`, the same rows keyed by profile.  Nothing is memoized
+between calls: each request runs the DP afresh.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from itertools import accumulate
 from math import comb, prod
 
 from .combinatorics import (
@@ -79,11 +83,14 @@ def _summands(gee: GeeParams, profile: Profile) -> Iterator[tuple[Profile, int]]
     When the profile fails the suffix condition no B is admissible, so the
     walk is skipped.  Otherwise |B + profile| = k, and the suffix condition
     says that every prefix of length i of B + profile sums to at least i.
-    A depth-first walk on an explicit stack picks b_i from the least value
-    keeping that bound up to the budget left, and carries the product of
-    the parities chosen so far; the last entry is forced, so the last two
-    are yielded directly, each B's term finished by two lookups.  No
-    branch dies.
+    The walk meets in the middle.  It lists each head, the first d = k // 2
+    entries of B, once, with the budget `rest` left for the tail and the
+    product of the head's parities.  The head's lead over its bound is then
+    sum(profile[:d]) + (budget - rest) - d, so the admissible tails and
+    their terms depend on `rest` alone: `_suffixes` lists them once per
+    `rest` value the call reaches, and each B is a head joined to a tail,
+    its term one AND.  The tails are kept for this call only.  No branch
+    dies, so every listed tail is part of at least one summand.
     """
     if not is_subgee_profile(profile):
         return
@@ -93,20 +100,50 @@ def _summands(gee: GeeParams, profile: Profile) -> Iterator[tuple[Profile, int]]
     if k < 2:  # B is () or (budget,)
         yield (budget,) * k, parities[0][budget] if k else 1
         return
-    pen, last = parities[-2], parities[-1]
-    stack = [((), budget, 0, 1)]  # (head, budget left, lead of the prefix over its bound, term)
+    d = k // 2
+    tails: dict[int, list[tuple[Profile, int]]] = {}
+    for head, rest, lead, term in _runs(parities, profile, 0, d, budget, 0):
+        if (suffixes := tails.get(rest)) is None:
+            suffixes = tails[rest] = _suffixes(parities, profile, d, rest, lead)
+        for tail, tail_term in suffixes:
+            yield head + tail, term & tail_term
+
+
+def _runs(
+    parities: list[tuple[int, ...]], profile: Profile, start: int, stop: int, rest: int, lead: int
+) -> Iterator[tuple[Profile, int, int, int]]:
+    """The admissible runs of entries start..stop-1 of B, in lexicographic
+    order, each as (run, budget left, lead, term): `lead` is the prefix's
+    lead over its bound, and `term` the product of the run's parities.
+
+    A depth-first walk on an explicit stack picks each entry from the least
+    value keeping the lead nonnegative up to the budget left.
+    """
+    stack = [((), rest, lead, 1)]
     while stack:
-        head, rest, lead, term = stack.pop()
-        j = len(head)
-        lo = max(0, 1 - lead - profile[j])
-        if j == k - 2:
-            for x in range(lo, rest + 1):
-                yield (*head, x, rest - x), term & pen[x] & last[rest - x]
-        else:
-            par, step = parities[j], lead + profile[j] - 1
-            stack.extend(
-                ((*head, x), rest - x, step + x, term & par[x]) for x in range(rest, lo - 1, -1)
-            )
+        run, rest, lead, term = stack.pop()
+        j = start + len(run)
+        if j == stop:
+            yield run, rest, lead, term
+            continue
+        par, step = parities[j], lead + profile[j] - 1
+        stack.extend(
+            ((*run, x), rest - x, step + x, term & par[x]) for x in range(rest, max(0, -step) - 1, -1)
+        )
+
+
+def _suffixes(
+    parities: list[tuple[int, ...]], profile: Profile, start: int, rest: int, lead: int
+) -> list[tuple[Profile, int]]:
+    """The admissible tails of B from entry `start` on, summing to `rest`
+    after a prefix with this lead, in lexicographic order, each with the
+    product of its parities.  The last entry takes the budget left: the
+    total then meets the bound of the full prefix."""
+    last = parities[-1]
+    return [
+        ((*run, left), term & last[left])
+        for run, left, _, term in _runs(parities, profile, start, len(profile) - 1, rest, lead)
+    ]
 
 
 def _spread(a: int, m: int, odd: int) -> int:
@@ -134,6 +171,24 @@ def _profile_sum(gee: GeeParams, profile: Profile) -> int:
     for j, (a, t) in enumerate(zip(reversed(gee.a), reversed(profile)), start=1):
         odd = (_spread(a, j - t, odd) << t) & ((1 << (j + 1)) - 1)
     return odd >> gee.k & 1
+
+
+def _summand_count(profile: Profile) -> int:
+    """The number of summands `_summands` lists for this profile, with no
+    walk: it depends on the profile alone, not on the gee.
+
+    The transfer DP of `_profile_sum` on integer counts, last block first:
+    `counts[s]` is the number of fillings of the blocks seen so far whose
+    suffix sum of B + profile is s <= j.  Block j moves s to s + t + b for
+    every b >= 0, so its new counts are running sums of the old ones,
+    shifted by t.  The count is counts[k]: C_k at the zero profile, 0 when
+    the profile fails the suffix condition.  O(k^2) big-int additions.
+    """
+    counts = [1]
+    for j, t in enumerate(reversed(profile), start=1):
+        sums = list(accumulate(counts))
+        counts = ([0] * t + sums + [sums[-1]] * j)[: j + 1]
+    return counts[len(profile)]
 
 
 def _pairing_rows(gee: GeeParams) -> Iterator[tuple[Profile, int]]:

@@ -51,6 +51,9 @@ duality
                       condition (any base, caps and budget) that both
                       library walks replaced; its own oracle is
                       fillings_by_filter, every tuple under the caps
+  (_summand_count)    the length of admissible_summands (k <= 7, entries
+                      <= 2) and the Catalan numbers C_k at the zero
+                      profile (k <= 30)
 relations
   subgee_count        brute_subgees (span <= 10), subgee_profiles_by_filter
 cli

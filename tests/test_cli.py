@@ -17,7 +17,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from polyphi import GeeParams, IndexSet, admissible_summands, normalize, pairing_by_profile
-from polyphi.cli import _build_parser, _cell, _json, main
+from polyphi.cli import MAX_EXPLAIN_SUMMANDS, _build_parser, _cell, _json, main
+from polyphi.duality import _summand_count
 
 from brute import gene_stdouts, phi_text, subgee_profiles_by_filter
 
@@ -274,6 +275,25 @@ def test_phi_csv_explain_at_k13_is_fast(capsys):
     elapsed = time.perf_counter() - start
     assert code == 0 and out.endswith(",true,0\n")
     assert elapsed < 0.2, elapsed
+
+
+def test_phi_explain_refuses_more_summands_than_the_limit(capsys, monkeypatch):
+    # The zero profile at k = 12 passes (C_12 = 208,012 summands); at k = 13
+    # (C_13 = 742,900) json and text are refused before any walk.  CSV lists
+    # no summand and still answers (test_phi_csv_explain_at_k13_is_fast).
+    assert _summand_count((0,) * 12) <= MAX_EXPLAIN_SUMMANDS < _summand_count((0,) * 13)
+
+    def refuse(*args):
+        raise AssertionError("_summands called past the limit")
+
+    monkeypatch.setattr("polyphi.cli._summands", refuse)
+    argv = ("phi", "--a", ",".join("2" * 13), "--J", "", "--explain", "--format")
+    for fmt in ("json", "text"):
+        code, out, err = run(capsys, *argv, fmt)
+        assert (code, out) == (2, ""), fmt
+        assert err == (
+            f"error: --explain would list 742900 summands, more than the limit of {MAX_EXPLAIN_SUMMANDS}\n"
+        )
 
 
 def test_phi_empty_subscripts(capsys):

@@ -24,6 +24,8 @@ from polyphi import (
     pairing_set,
     pairing_table,
 )
+from polyphi import duality
+from polyphi.duality import _summand_count, _suffixes
 from polyphi.errors import InfeasibleProfileError
 
 from brute import (
@@ -241,6 +243,38 @@ def test_zero_profile_of_twos_is_catalan_parity():
 def test_zero_profile_of_twos_at_large_k(k):
     # Enumeration would list C(2k-1, k-1) compositions here.
     assert pairing_by_profile(GeeParams((2,) * k), (0,) * k) == catalan_is_odd(k)
+
+
+# ----------------------------------------------------- summand count and memo
+
+def test_summand_count_matches_the_listed_summands():
+    # The count depends on the profile alone, and every profile with entries
+    # up to 2 fits a = (2,)*k, subgee profile or not.
+    for k in range(8):
+        gee = GeeParams((2,) * k)
+        for profile in product(range(3), repeat=k):
+            assert _summand_count(profile) == len(admissible_summands(gee, profile)), profile
+
+
+def test_summand_count_at_the_zero_profile_is_catalan():
+    for k in range(31):
+        assert _summand_count((0,) * k) == comb(2 * k, k) // (k + 1), k
+
+
+def test_tails_are_listed_once_per_budget_left(monkeypatch):
+    # Each head joins the tails listed for the budget it leaves, at most
+    # budget + 1 lists per call; listing them per head instead would make
+    # thousands of lists here and change no output.
+    budgets = []
+
+    def counting(parities, profile, start, rest, lead):
+        budgets.append(rest)
+        return _suffixes(parities, profile, start, rest, lead)
+
+    monkeypatch.setattr(duality, "_suffixes", counting)
+    k = 12
+    assert len(admissible_summands(GeeParams((2,) * k), (0,) * k)) == comb(2 * k, k) // (k + 1)
+    assert len(budgets) == len(set(budgets)) <= k + 1, budgets
 
 
 # -------------------------------------------------------------- closed forms
