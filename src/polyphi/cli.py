@@ -20,8 +20,6 @@ from .lengths import (
     DEFAULT_MAX_N,
     DEFAULT_SEARCH_BOUND,
     GeneticCode,
-    LengthVector,
-    _fraction,
     _genes,
     genetic_code,
     monogenic_gee,
@@ -47,19 +45,6 @@ def _tokens(text: str) -> list[str]:
     return [t.strip() for t in text.split(",") if t.strip()]
 
 
-def _parse_lengths(text: str) -> LengthVector:
-    tokens = _tokens(text)
-    if not tokens:
-        raise ValueError("empty length list")
-    values = []
-    for tok in tokens:
-        try:
-            values.append(_fraction(tok))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not a rational: {tok!r}") from exc
-    return normalize(values)
-
-
 def _parse_gee(text: str) -> GeeParams:
     return GeeParams(tuple(int(t) for t in _tokens(text)))
 
@@ -73,7 +58,7 @@ def _parse_subset(text: str) -> IndexSet:
 def _cmd_gene(args: argparse.Namespace) -> tuple[int, dict]:
     # The search's descending tuples, as they are printed: a code can hold
     # tens of thousands of genes, so none is wrapped in an IndexSet.
-    lv = _parse_lengths(args.lengths)
+    lv = normalize(_tokens(args.lengths))
     n = lv.n
     genes = _genes(lv, max_n=args.max_n)
     for g in genes:  # GeneticCode's check: n is the largest index
@@ -98,7 +83,7 @@ def _cmd_phi(args: argparse.Namespace) -> tuple[int, dict]:
     if args.a is not None:
         gee, n = _parse_gee(args.a), None
     else:
-        lv = _parse_lengths(args.lengths)
+        lv = normalize(_tokens(args.lengths))
         gee, n = monogenic_gee(genetic_code(lv, max_n=args.max_n)), lv.n
     subset = _parse_subset(args.J)
     if n is not None:

@@ -97,8 +97,8 @@ def _summands(gee: GeeParams, profile: Profile) -> Iterator[tuple[Profile, int]]
     k = gee.k
     budget = k - sum(profile)
     parities = [tuple(binom_parity(a + b - 2, b) for b in range(budget + 1)) for a in gee.a]
-    if k < 2:  # B is () or (budget,)
-        yield (budget,) * k, parities[0][budget] if k else 1
+    if not k:
+        yield (), 1
         return
     d = k // 2
     tails: dict[int, list[tuple[Profile, int]]] = {}

@@ -6,7 +6,10 @@ import csv
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -175,6 +178,24 @@ def test_gene_invalid_length_exits_2(capsys):
     code, out, err = run(capsys, "gene", "--lengths", "1,0,2")
     assert (code, out) == (2, "")
     assert "positive" in err
+
+
+@pytest.mark.parametrize(
+    "lengths, message",
+    [
+        ("1,1,0", "side lengths must be positive, got '0'"),
+        ("1,-2,1", "side lengths must be positive, got '-2'"),
+        ("abc,1,1", "not a rational side length: 'abc'"),
+        ("1/0,1,1", "not a rational side length: '1/0'"),
+        ("", "need at least 3 sides, got 0"),
+        (" , ", "need at least 3 sides, got 0"),
+    ],
+)
+@pytest.mark.parametrize("command", [["gene"], ["phi", "--J", ""]], ids=["gene", "phi"])
+def test_length_list_errors_name_the_token_as_typed(capsys, command, lengths, message):
+    # `normalize` parses the tokens and words the message, for gene and phi alike.
+    code, out, err = run(capsys, *command, "--lengths", lengths)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_gene_rational_lengths(capsys):
@@ -705,3 +726,23 @@ def test_parser_shared_between_calls_leaks_no_option(capsys):
     _build_parser.cache_clear()
     assert [_outcome(capsys, argv) for argv in calls] == fresh
     assert _build_parser.cache_info().misses == 1
+
+
+# ---------------------------------------------------------------- entry point
+
+def _run_module(*argv: str) -> subprocess.CompletedProcess:
+    """`python -m polyphi argv` in a fresh process, with `src` on the path."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    return subprocess.run([sys.executable, "-m", "polyphi", *argv], env=env, capture_output=True)
+
+
+def test_module_entry_point_writes_the_golden_bytes():
+    done = _run_module("gene", "--lengths", "1,1,1,1,1", "--format", "json")
+    expected = (GOLDEN / "cli" / "gene_monogenic.json").read_bytes()
+    assert (done.returncode, done.stdout, done.stderr) == (0, expected, b"")
+
+
+def test_module_entry_point_exits_2_on_a_bad_length():
+    done = _run_module("gene", "--lengths", "1,1,0")
+    expected = b"error: side lengths must be positive, got '0'\n"
+    assert (done.returncode, done.stdout, done.stderr) == (2, b"", expected)

@@ -538,6 +538,11 @@ def test_monogenic_gee_k0():
     assert monogenic_gee(code).a == ()
 
 
+def test_genetic_code_refuses_a_gene_without_n():
+    with pytest.raises(ValueError, match=r"gene IndexSet\(\{1, 3\}\) does not contain n=5"):
+        GeneticCode((IndexSet([1, 3]),), 5)
+
+
 def test_monogenic_gee_rejects_two_genes():
     lv = normalize([1, 1, 1, 2, 2, 2])
     code = genetic_code(lv)
