@@ -12,7 +12,7 @@ from collections.abc import Iterable, Iterator
 from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate, combinations
-from math import lcm
+from math import gcd, lcm
 
 from ._lp import least_total
 from .combinatorics import GeeParams, IndexSet, _Value, check_ints
@@ -45,8 +45,10 @@ DEFAULT_MAX_N = 30
 DEFAULT_SEARCH_BOUND = 40
 
 # The gene search reads its last levels from tables of up to 2^_TABLE_DEPTH
-# subsets built per call; deeper tables cost more than the walk they save.
-_TABLE_DEPTH = 8
+# subsets built per call.  Depth 9 reaches the top level at n = 19 and 20, and
+# made the search on random vectors with n = 16 to 20 about 10% faster than
+# depth 8; depth 10 was slower, and one-gene vectors pay for the deeper tables.
+_TABLE_DEPTH = 9
 
 
 class LengthVector(_Value):
@@ -59,9 +61,13 @@ class LengthVector(_Value):
         if len(self.lengths) < 3:
             raise TooFewSidesError(f"need at least 3 sides, got {len(self.lengths)}")
         for x in self.lengths:
-            if not isinstance(x, Fraction) or x <= 0:
+            if not isinstance(x, Fraction) or x.numerator <= 0:
                 raise InvalidLengthError(f"side lengths must be positive rationals, got {x!r}")
-        if any(a > b for a, b in zip(self.lengths, self.lengths[1:])):
+        # a > b, on the numerators and the (positive) denominators
+        if any(
+            a.numerator * b.denominator > b.numerator * a.denominator
+            for a, b in zip(self.lengths, self.lengths[1:])
+        ):
             raise InvalidLengthError("lengths must be sorted ascending; use normalize()")
 
     @property
@@ -105,14 +111,18 @@ def normalize(raw: Iterable[Fraction | int]) -> LengthVector:
         if isinstance(x, bool):
             raise InvalidLengthError(f"booleans are not side lengths, got {x!r}")
         try:
-            f = _fraction(x)
+            # int() reads ASCII digits as Fraction would, under the same digit limit.
+            f = Fraction(int(x)) if type(x) is str and x.isascii() and x.isdigit() else _fraction(x)
         except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
             # OverflowError: infinite Decimals; ZeroDivisionError: "1/0" and "0/0"
             raise InvalidLengthError(f"not a rational side length: {x!r}") from exc
-        if f <= 0:
+        if f.numerator <= 0:
             raise InvalidLengthError(f"side lengths must be positive, got {x!r}")
         values.append(f)
-    return LengthVector(tuple(sorted(values)))
+    # Sorted by the exact integer key f * denom, with no Fraction compared.
+    denom = lcm(*(f.denominator for f in values))
+    values.sort(key=lambda f: f.numerator * (denom // f.denominator))
+    return LengthVector(tuple(values))
 
 
 def _fraction(x: object) -> Fraction:
@@ -133,14 +143,17 @@ def _fraction(x: object) -> Fraction:
 def is_generic(lengths: LengthVector) -> bool:
     """True iff no subset of sides sums to exactly half the perimeter.
 
-    Decided exactly by meeting in the middle over the scaled integer
-    lengths: the subset sums of each half of the sides (at most
+    Decided exactly over the scaled integer lengths: when their total over
+    their gcd is odd, no subset can reach half of it.  Otherwise by meeting
+    in the middle: the subset sums of each half of the sides (at most
     2^ceil(n/2) apiece) are listed, and no pair may add up to half the
     total.  The cost does not depend on the size of the lengths.
     """
     ints = lengths.scaled()
     total = sum(ints)
-    if total % 2:
+    # A subset sums to half the total exactly when it does after dividing
+    # out the gcd, so an odd total of the primitive vector settles it.
+    if total // gcd(*ints) % 2:
         return True
     half = total // 2
     mid = len(ints) // 2
@@ -204,21 +217,21 @@ def _genes(lengths: LengthVector, *, max_n: int) -> list[tuple[int, ...]]:
     Leaving out a too-long side fixes an enlargement that is long anyway,
     so the cheapest fixed enlargement keeps its value.
 
-    The last d = min(top, 8) levels are read, not walked.  For j <= d, a
+    The last d = min(top, 9) levels are read, not walked.  For j <= d, a
     table built once per call lists every subset T of sides 1..j by sum,
     with the sum plus the cheapest enlargement inside 1..j (adding an absent
     side, or moving a member t up to an absent t+1 <= j), and in a second
     column also moving j up to j+1.  Leaving out side j fixes adding it and
     lets j-1 move up to it, taking j stops that move, so each table follows
-    from the one before in O(2^j) steps; sums[j] holds its sums.  Below a
-    node at j <= d, the genes add to its members each T whose sum lies in
-    [room - cheapest, room), found by bisection, and whose column (the
-    second when j+1 is absent) reads at least room.  In practice the search
-    grows with the number of genes rather than with 2^(n-1): on random
-    vectors with n = 16 to 20 it visits under one node per gene above level
-    d, and reads a table once per two genes.  Near-equal sides cost more
-    than their genes, but 27 sides from 1000..1050, with one gene, visit a
-    few thousand nodes.
+    from the one before in O(2^j) steps; sums[j] holds its sums.  A child
+    at j <= d is read where it is made, and never pushed: its genes add to
+    its members each T whose sum lies in [room - cheapest, room), found by
+    bisection, and whose column (the second when j+1 is absent) reads at
+    least room.  In practice the search grows with the number of genes
+    rather than with 2^(n-1): on random vectors with n = 16 to 20 it visits
+    about one node per two genes above level d, and reads a table once per
+    two genes.  Near-equal sides cost more than their genes, but 27 sides
+    from 1000..1050, with one gene, visit a few thousand nodes.
 
     Nodes and table rows carry their part of the key K(G), the sum over i
     in G of 2^n + 2^(n-i): its upper bits hold the size, and of two sets of
@@ -266,39 +279,47 @@ def _genes(lengths: LengthVector, *, max_n: int) -> list[tuple[int, ...]]:
     sums += ([b] for b in below[top + 1:])
     limit = (total + 1) // 2  # a sum is short exactly when it is below limit
     genes: dict[int, tuple[int, ...]] = {}  # by sort key
-    # (undecided count j, sum, descending members, cheapest fixed enlargement, key)
+
+    def read(j: int, room: int, members: tuple[int, ...], cheapest: int, key: int, col: int) -> None:
+        # The genes below a child at j <= depth: its members plus a subset of
+        # sides 1..j that adds less than room but no enlargement of it does.
+        s = sums[j]
+        hi = bisect_left(s, room)
+        for row in tables[j][bisect_left(s, room - cheapest, 0, hi):hi]:
+            if row[col] >= room:
+                genes[key + row[3]] = members + row[4]
+
+    # (undecided count j > depth, sum, descending members, cheapest fixed enlargement, key)
     stack = [(n - 1, ints[-1], (n,), total, weights[n])]
     while stack:
         j, cur, members, cheapest, key = stack.pop()
         room = limit - cur  # the set stays short while it adds less than this
-        if j <= depth:
-            # The genes below this node: its members plus a subset of sides
-            # 1..j that adds less than room but no enlargement of it does.
-            s = sums[j]
-            hi = bisect_left(s, room)
-            col = 1 if members[-1] == j + 1 else 2
-            for row in tables[j][bisect_left(s, room - cheapest, 0, hi):hi]:
-                if row[col] >= room:
-                    genes[key + row[3]] = members + row[4]
-            continue
         i = j - 1
         side = ints[i]
         if side >= room:
             # Sides t+1..j are all too long to take: leave them out together.
             t = bisect_left(ints, room, 0, i)
+            if t <= depth:
+                read(t, room, members, cheapest, key, 2)
+                continue
             s = sums[t]
             if s[bisect_left(s, room) - 1] + cheapest >= room:
                 stack.append((t, cur, members, cheapest, key))
             continue
-        s = sums[i]
-        # Leave out side j, which fixes adding it.
+        # Leaving out side j fixes adding it; taking it without side j+1
+        # fixes moving j up to j+1.
         fixed = side if side < cheapest else cheapest
-        if s[bisect_left(s, room) - 1] + fixed >= room:
-            stack.append((i, cur, members, fixed, key))
-        # Take side j; without side j+1 that fixes moving j up to it.
-        room -= side
         if members[-1] != j + 1 and ints[j] - side < cheapest:
             cheapest = ints[j] - side
+        if i <= depth:
+            read(i, room, members, fixed, key, 2)
+            if cheapest:
+                read(i, room - side, (*members, j), cheapest, key + weights[j], 1)
+            continue
+        s = sums[i]
+        if s[bisect_left(s, room) - 1] + fixed >= room:
+            stack.append((i, cur, members, fixed, key))
+        room -= side
         if cheapest and s[bisect_left(s, room) - 1] + cheapest >= room:
             stack.append((i, cur + side, (*members, j), cheapest, key + weights[j]))
 

@@ -44,6 +44,7 @@ from polyphi.lengths import (
     _least_undominated,
     _passing_vectors,
     _prefix_tables,
+    _subset_sums,
 )
 
 from brute import (
@@ -122,6 +123,52 @@ def test_normalize_accepts_exponents_at_the_int_digit_limit():
     assert normalize(["1e-4300", Decimal("1E4300"), "1"]).lengths[0] == Fraction(1, 10**4300)
 
 
+@pytest.mark.parametrize(
+    "x, side",
+    [
+        ("007", Fraction(7)),
+        ("٣", Fraction(3)),  # a non-ASCII digit, read by Fraction's parser
+        ("+5", Fraction(5)),
+        (" 5 ", Fraction(5)),
+        (7, Fraction(7)),
+        (Fraction(7, 3), Fraction(7, 3)),
+        (Decimal("2.50"), Fraction(5, 2)),
+    ],
+)
+def test_normalize_reads_tokens_ints_fractions_and_decimals(x, side):
+    # ASCII-digit tokens take a faster path through int(); every input
+    # keeps the side it had when each was read by Fraction alone.
+    lengths = normalize([x, "1", 1]).lengths
+    assert lengths == (1, 1, side)
+    assert all(type(f) is Fraction for f in lengths)
+
+
+@pytest.mark.parametrize("x", ["0", "00", 0, Fraction(0), Decimal("0E+3"), "-0", Decimal(-1)])
+def test_normalize_names_the_nonpositive_input(x):
+    with pytest.raises(InvalidLengthError) as info:
+        normalize([1, x, 1])
+    assert str(info.value) == f"side lengths must be positive, got {x!r}"
+
+
+def test_normalize_refuses_a_token_beyond_the_int_digit_limit():
+    # 5,000 digits: int() refuses it under the 4,300-digit limit, as
+    # Fraction's parser does, and the ValueError becomes the same refusal.
+    x = "5" * 5000
+    with pytest.raises(InvalidLengthError) as info:
+        normalize([x, 1, 1])
+    assert str(info.value) == f"not a rational side length: {x!r}"
+    assert type(info.value.__cause__) is ValueError
+
+
+def test_normalize_sorts_mixed_denominators_exactly():
+    raw = [Fraction(3, 2), Fraction(1, 3), 2, "5/6", Decimal("0.25"), Fraction(1, 3)]
+    assert normalize(raw).lengths == tuple(sorted(Fraction(x) for x in raw))
+    # Values that differ by less than any float could tell apart.
+    big = 10**30
+    raw = [Fraction(big + 1, big), Fraction(big, big - 1), 1, Fraction(big - 1, big)]
+    assert normalize(raw).lengths == tuple(sorted(Fraction(x) for x in raw))
+
+
 def test_normalize_rejects_floats():
     with pytest.raises(InvalidLengthError):
         normalize([1.0, 2, 3])
@@ -137,6 +184,26 @@ def test_normalize_rejects_too_few():
 def test_length_vector_rejects_unsorted_direct_construction():
     with pytest.raises(InvalidLengthError):
         LengthVector((Fraction(2), Fraction(1), Fraction(3)))
+
+
+@pytest.mark.parametrize(
+    "lengths, message",
+    [
+        ((Fraction(0), Fraction(1), Fraction(3)), "side lengths must be positive rationals, got Fraction(0, 1)"),
+        ((Fraction(1), Fraction(-1, 2), Fraction(3)), "side lengths must be positive rationals, got Fraction(-1, 2)"),
+        ((Fraction(1, 2), Fraction(1, 3), Fraction(1)), "lengths must be sorted ascending; use normalize()"),
+        ((Fraction(1, 3), Fraction(1, 2), Fraction(2, 5)), "lengths must be sorted ascending; use normalize()"),
+    ],
+)
+def test_length_vector_checks_fractions_by_numerator_and_denominator(lengths, message):
+    with pytest.raises(InvalidLengthError) as info:
+        LengthVector(lengths)
+    assert str(info.value) == message
+
+
+def test_length_vector_accepts_equal_fractions_in_order():
+    lv = LengthVector((Fraction(1, 3), Fraction(2, 6), Fraction(1, 2)))
+    assert lv.scaled() == (2, 2, 3)
 
 
 def test_length_vector_rejects_ints_in_direct_construction():
@@ -183,6 +250,43 @@ def test_is_generic_matches_brute_force():
         raw = [rng.randint(1, 12) for _ in range(n)]
         lv = normalize(raw)
         assert is_generic(lv) == brute_is_generic(lv.lengths), raw
+
+
+@pytest.mark.parametrize("factor", [2, 3, 6, Fraction(2, 3)])
+@pytest.mark.parametrize(
+    "base",
+    [
+        [1, 2, 4],  # odd total: generic
+        [1, 2, 3],  # even total, 1 + 2 = 3: not generic
+        [1, 1, 2],  # even total: not generic
+        [2, 3, 4, 7],  # even total, no subset sums to 8: generic
+        [1, 3, 5, 7, 11],  # odd total
+        [3, 5, 6, 7, 9, 10],  # even total, 3 + 7 + 10 = 20: not generic
+    ],
+)
+def test_is_generic_divides_out_the_gcd(base, factor):
+    # A multiple of a vector splits in half exactly when the vector does,
+    # whatever the parity of the multiple's own total.
+    lv = normalize([factor * x for x in base])
+    assert is_generic(lv) == brute_is_generic(lv.lengths) == brute_is_generic(base)
+
+
+def test_is_generic_lists_no_subset_sums_for_an_odd_primitive_total(monkeypatch):
+    # 2,4,8 is 1,2,4 doubled: its primitive total 7 is odd, so it is
+    # generic at once; 2,4,6 is 1,2,3 doubled, total 6, and needs the pass.
+    calls = 0
+
+    def counting(values):
+        nonlocal calls
+        calls += 1
+        return _subset_sums(values)
+
+    monkeypatch.setattr("polyphi.lengths._subset_sums", counting)
+    for raw in ([2, 4, 8], [Fraction(2, 3), Fraction(4, 3), Fraction(8, 3)], [6, 12, 24, 30, 42]):
+        assert is_generic(normalize(raw))
+    assert calls == 0
+    assert not is_generic(normalize([2, 4, 6]))
+    assert calls > 0
 
 
 def test_large_coprime_denominators_are_classified():
@@ -390,8 +494,8 @@ def test_completion_tables_match_subset_sum_search():
         # equal sides: moves inside a table that cost nothing
         vectors.append(_odd_total([rng.choice((1, 2, 3, 5)) for _ in range(n)]))
         vectors.append([1] * n)
-    # Up to n = 17 the tables reach the top level of the subset sums.
-    for n in range(3, 18):
+    # Up to n = 20 the tables reach the top level of the subset sums.
+    for n in range(3, 21):
         vectors.append(_odd_total([rng.randint(1, 10 ** rng.randint(1, 6)) for _ in range(n)]))
         vectors.append([rng.randint(1, 12) for _ in range(n)])
     # Tiny sides below equal huge ones: the jump over the huge sides that
@@ -464,8 +568,8 @@ def test_equilateral_31_gon_code_within_budget():
 
 def test_equilateral_31_gon_cuts_sets_with_a_free_move(monkeypatch):
     # A work count, not a clock: with the cut of children whose cheapest
-    # fixed enlargement costs nothing, the search bisects 236 times; without
-    # it, 65,718 times, which a time budget does not tell apart.
+    # fixed enlargement costs nothing, the search bisects 220 times; without
+    # it, 65,703 times, which a time budget does not tell apart.
     calls = 0
 
     def counting(*args):
@@ -477,6 +581,35 @@ def test_equilateral_31_gon_cuts_sets_with_a_free_move(monkeypatch):
     code = genetic_code(normalize([1] * 31), max_n=31)
     assert code_tuples(code) == [tuple(range(17, 32))]
     assert calls <= 1000
+
+
+def test_gene_search_work_counts(monkeypatch):
+    # Work counts, not clocks, for changes that keep every output.  Tables to
+    # depth 9 let the search on an n = 20 vector, doubled as the classify
+    # benchmark doubles a third of its vectors, read its leaves at the top
+    # table level: 1,559 bisections, 2,461 with tables to depth 8.  The
+    # equilateral 31-gon takes 220, 228 at depth 8.  Its walk meets sides
+    # equal to the room left: jumping over them (`side >= room`) rather
+    # than trying to take them (`side > room`) saves 9 bisections there.
+    # Leaving a side out at no added cost (1,571 and 234), or keeping every
+    # jump without its reach test (1,553 bisections, more nodes), moves
+    # the counts too.
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return bisect_left(*args)
+
+    rng = random.Random(20261036)
+    doubled = normalize([2 * x for x in _odd_total([rng.randint(1, 10**6) for _ in range(20)])])
+    equilateral = normalize([1] * 31)
+    monkeypatch.setattr("polyphi.lengths.bisect_left", counting)
+    assert len(genetic_code(doubled).genes) == 1815
+    assert calls == 1559
+    calls = 0
+    assert code_tuples(genetic_code(equilateral, max_n=31)) == [tuple(range(17, 32))]
+    assert calls == 220
 
 
 def assert_well_formed(code):
