@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import accumulate, combinations
 from math import gcd, lcm
 
-from ._lp import least_total
+from ._lp import least_total_carried, next_side_count
 from .combinatorics import GeeParams, IndexSet, _Value, check_ints
 from .errors import (
     EmptySpaceError,
@@ -482,16 +482,31 @@ def realize_gee(gee: GeeParams, search_bound: int = DEFAULT_SEARCH_BOUND) -> Len
     short give p(S) + p(T) > 2*p(gee), as p_n cancels.  So when S + T is
     dominated by gee + gee, as multisets, no vector with any n realizes the
     gee, and the error below is raised before any LP.  For each n,
-    `least_total` solves an exact LP whose least total L_n no passing
-    vector with n sides undercuts, and only then are its prefix tables
-    built and the totals from L_n up to one below the least total found so
-    far (search_bound + 1 before any) walked.  An n whose LP is infeasible,
-    or whose bound reaches that total, is skipped, and the LP stops as soon
-    as its bound does.  The LP is infeasible wherever {1..n-1} minus the
-    gee is dominated by G, since G cannot be short there.  A later n replaces
-    the best vector only with a smaller total, and no bound skips a
-    (total, n) pair that has a passing vector, so no bound changes the
-    winner.
+    `least_total_carried` solves an exact LP whose least total L_n no
+    passing vector with n sides undercuts, and only then are its prefix
+    tables built and the totals from L_n up to one below the least total
+    found so far (search_bound + 1 before any) walked.  An n whose LP is
+    infeasible, or whose bound reaches that total, is skipped, and the LP
+    stops as soon as its bound does.  The LP is infeasible wherever {1..n-1}
+    minus the gee is dominated by G, since G cannot be short there.
+
+    The LP's last tableau, at its optimum, cutoff or infeasible row, holds
+    multipliers y >= 0 on the gene row and each escape row, which bound the
+    next n by weak duality.  In the increments x_j >= 0 (d_1 = 1 + x_1),
+    T = n + sum (n-j+1) x_j, and the rows T - 2p(G) - 1 >= 0 and
+    2p(S + {n}) - T - 1 >= 0 have coefficients c_j(G) and -c_j(S + {n}) on
+    x_j, where c_j(A) counts the sides from j on outside A less those
+    inside.  From n to n + 1 each old column's coefficient grows by 1 in T
+    and the gene row and falls by 1 in each escape row, the new column
+    reads 1, -1 and 1, the constants move as the first column does, and
+    the escape sets with top n join with y = 0.  With delta = y_G - sum y_S
+    the bound and every old reduced cost grow by 1 - delta and the new
+    reduced cost is 1 + delta (`_lp.next_side_count`).  While every reduced
+    cost is >= 0 and the ceiling of the carried bound reaches the least
+    total found, n is skipped with no LP: the bound is at most L_n, so the
+    LP would skip it too.  A later n replaces the best vector only with a
+    smaller total, and no bound skips a (total, n) pair that has a passing
+    vector, so no bound changes the winner.
 
     A vector has the single gene G = gee + {n} exactly when the short sets
     containing n are the sets G dominates: G is short, and S + {n} is long
@@ -522,10 +537,15 @@ def realize_gee(gee: GeeParams, search_bound: int = DEFAULT_SEARCH_BOUND) -> Len
     if any(_dominated(sorted(s + t), twice) for s, t in combinations(least, 2)):
         sides = range(0)
     best, found = search_bound + 1, None  # the least total found so far, its vector and gene
+    carry = None
     for n in sides:
+        if carry:
+            bound, cost, _, d = carry = next_side_count(carry)
+            if cost >= 0 and bound > (best - 1) * d:
+                continue
         gene = (*gee.prefix_sums, n)
         escapes = [s for s in least if s[-1] < n]
-        start = least_total(n, gene, escapes, best)
+        start, carry = least_total_carried(n, gene, escapes, best)
         if start is None or start >= best:
             continue
         tables = _prefix_tables(n, gene, escapes)

@@ -40,6 +40,11 @@ lengths
                       on its own rows (d_1 >= 1 a row, not a shift) that
                       minimises (artificials, T) lexicographically; every n
                       of the window, k <= 3 and a_i <= 3
+  (_lp dual values,   dual_bound_by_rows, weak duality on the same rows for
+   next_side_count)   given multipliers, and reduced_costs_by_rows under
+                      them: the LP's own, at several cutoffs, and those
+                      carried to every later n of the window, k <= 4 and
+                      a_i <= 3
 duality
   admissible_summands summands_by_enumeration, every composition of
                       k - |profile| filtered by the suffix condition, k <= 6
@@ -68,7 +73,7 @@ from bisect import bisect_left
 from collections.abc import Iterator
 from fractions import Fraction
 from itertools import accumulate, combinations, permutations, product
-from math import factorial
+from math import factorial, lcm
 
 from polyphi.combinatorics import (
     IndexSet,
@@ -516,6 +521,39 @@ def least_undominated_unreduced(gee, n: int) -> list[tuple[int, ...]]:
             lo = g[k - r + j - 1] + 1
             sets.append((*range(1, j), *range(lo, lo + r - j + 1)))
     return [s for s in sets if s[-1] <= n - 1]
+
+
+def reduced_costs_by_rows(n: int, gene, escapes, y) -> list[Fraction]:
+    """The reduced costs r_j = t_j - sum(y_i a_ij), j = 1..n, of the total T
+    on the rows a.d >= 1 of `least_total_by_simplex`, written here again,
+    under multipliers y: one for the gene row, T - 2p(G), and one per escape
+    row, 2p(S + {n}) - T, in order.  A set A sums to the sum of the
+    increments d_j times |A in [j, n]|."""
+
+    def counts(members):  # |A in [j, n]| for j = 1..n
+        inside = set(members)
+        return [*accumulate(int(j in inside) for j in range(n, 0, -1))][::-1]
+
+    sides = counts(range(1, n + 1))
+    rows = [[t - 2 * g for t, g in zip(sides, counts(gene))]]
+    rows += [[2 * e - t for t, e in zip(sides, counts((*s, n)))] for s in escapes]
+    den = lcm(*(Fraction(v).denominator for v in y))  # exact int sums over den
+    used = [(int(v * den), row) for v, row in zip(y, rows) if v]
+    return [Fraction(t * den - sum(v * row[j] for v, row in used), den) for j, t in enumerate(sides)]
+
+
+def dual_bound_by_rows(n: int, gene, escapes, y) -> Fraction | None:
+    """The lower bound on `least_total_by_simplex`'s T that multipliers y
+    give, or None when a multiplier or a reduced cost is negative.
+
+    T - sum(y_i a_i.d) is the sum of r_j d_j.  When y >= 0 and every r_j >=
+    0, d_1 >= 1 and each a_i.d >= 1 give T >= r_1 + sum(y_i): weak duality,
+    with r_1 as the multiplier of the row d_1 >= 1.
+    """
+    costs = reduced_costs_by_rows(n, gene, escapes, y)
+    if min(y) < 0 or min(costs) < 0:
+        return None
+    return costs[0] + sum(y)
 
 
 def least_total_by_simplex(n: int, gene, escapes) -> Fraction | None:

@@ -38,7 +38,13 @@ from polyphi.errors import (
     TooFewSidesError,
 )
 
-from polyphi._lp import least_total
+from polyphi._lp import (
+    _pivot,
+    _tableau,
+    least_total_carried,
+    least_value,
+    next_side_count,
+)
 from polyphi.lengths import (
     _genes,
     _least_undominated,
@@ -53,6 +59,7 @@ from brute import (
     brute_is_generic,
     brute_set_leq,
     brute_subgees,
+    dual_bound_by_rows,
     genetic_code_by_gray_walk,
     genetic_code_by_subset_sums,
     greedy_set_leq,
@@ -60,6 +67,7 @@ from brute import (
     least_total_by_simplex,
     least_undominated_unreduced,
     realize_by_genetic_code,
+    reduced_costs_by_rows,
     subgees_by_profile,
 )
 
@@ -994,7 +1002,7 @@ def test_unrealizable_gees_are_refused_before_any_walk(a, monkeypatch):
     def walk(*args):
         raise AssertionError("the certificate leaves no side count to try")
 
-    monkeypatch.setattr("polyphi.lengths.least_total", walk)
+    monkeypatch.setattr("polyphi.lengths.least_total_carried", walk)
     monkeypatch.setattr("polyphi.lengths._prefix_tables", walk)
     monkeypatch.setattr("polyphi.lengths._passing_vectors", walk)
     for bound in range(19, 61):
@@ -1002,6 +1010,11 @@ def test_unrealizable_gees_are_refused_before_any_walk(a, monkeypatch):
         with pytest.raises(RealizationNotFoundError) as exc:
             realize_gee(GeeParams(a), bound)
         assert str(exc.value) == message
+
+
+def least_total(n, gene, escapes, cutoff):
+    """The LP's ceiling from `least_total_carried`, without the carry."""
+    return least_total_carried(n, gene, escapes, cutoff)[0]
 
 
 def test_realize_builds_tables_only_for_kept_side_counts(monkeypatch):
@@ -1055,6 +1068,76 @@ def test_least_total_matches_the_fraction_simplex():
                 else:
                     assert bound is None or cutoff <= bound <= ceiling, (a, n, cutoff)
             assert least_total(n, gene, escapes, 10**6) == (None if exact is None else ceiling)
+
+
+def test_lp_dual_values_bound_by_weak_duality_and_carry_to_later_side_counts():
+    # The last tableau of the LP, at several cutoffs, the infeasible LPs
+    # too, holds multipliers y >= 0 and the reduced costs under them, and
+    # its bound is theirs on the brute rows; at the optimum that bound is
+    # the LP minimum.  Carried to each later n of the window, with y = 0 on
+    # the escape sets that join, the four integers give the least brute
+    # reduced cost and bound, and that bound never exceeds the minimum.  Of
+    # the carried multipliers, 270 leave a reduced cost below 0 at a later n.
+    # A flipped delta, a dropped 1 + delta term or y read from the x columns
+    # in `_lp` each fail this test.
+    verdicts = Counter()
+    for a in SMALL_GEES + list(product(range(1, 4), repeat=4)):
+        gee = GeeParams(a)
+        least = _least_undominated(gee)
+        window = _window(gee)
+        rows = {n: ([*gee.gee(), n], [s for s in least if s[-1] < n]) for n in window}
+        n_min, n_max = _certified_window(gee)  # the feasible side counts
+        exact = {n: least_total_by_simplex(n, *rows[n]) for n in range(n_min, n_max + 1)}
+        for n in window:
+            gene, escapes = rows[n]
+            for cutoff in (n, n + 6, 10**6):
+                value, dual, d = least_value(_tableau(n, gene, escapes), cutoff)
+                bound, *costs = [Fraction(v, d) for v in dual[:n + 1]]
+                y = [Fraction(v, d) for v in dual[n + 1:]]
+                assert reduced_costs_by_rows(n, gene, escapes, y) == costs, (a, n, cutoff)
+                assert dual_bound_by_rows(n, gene, escapes, y) == bound, (a, n, cutoff)
+                if value is not None and value < cutoff:
+                    assert bound == exact[n], (a, n, cutoff)
+                start, carry = least_total_carried(n, gene, escapes, cutoff)
+                assert start == value, (a, n, cutoff)
+                joined = dict(zip(escapes, y[1:]))
+                for later in range(n + 1, window.stop):
+                    carried, cost, _, d = carry = next_side_count(carry)
+                    after, joining = rows[later]
+                    multipliers = [y[0], *(joined.get(s, 0) for s in joining)]
+                    least_cost = min(reduced_costs_by_rows(later, after, joining, multipliers))
+                    assert Fraction(cost, d) == least_cost, (a, n, cutoff, later)
+                    check = dual_bound_by_rows(later, after, joining, multipliers)
+                    assert (cost >= 0) == (check is not None), (a, n, cutoff, later)
+                    verdicts[check is not None] += 1
+                    if check is not None:
+                        assert Fraction(carried, d) == check, (a, n, cutoff, later)
+                        assert later not in exact or check <= exact[later], (a, n, cutoff, later)
+    assert verdicts == {True: 6381, False: 270}
+
+
+def test_realize_lp_work_counts(monkeypatch):
+    # Work counts, not clocks, for a cut that changes no output: over the 40
+    # gees with k <= 3 and a_i <= 3 at bound 40, realize solves 79 LPs with
+    # 89 pivots in all.  An LP at every side count of the window, stopped at
+    # the least total found so far, takes 162 LPs and 276 pivots.
+    lps = pivots = 0
+
+    def solving(*args):
+        nonlocal lps
+        lps += 1
+        return least_total_carried(*args)
+
+    def pivoting(*args):
+        nonlocal pivots
+        pivots += 1
+        return _pivot(*args)
+
+    monkeypatch.setattr("polyphi.lengths.least_total_carried", solving)
+    monkeypatch.setattr("polyphi._lp._pivot", pivoting)
+    for a in SMALL_GEES:
+        _realized(realize_gee, a, 40)
+    assert (lps, pivots) == (79, 89)
 
 
 def test_least_total_is_infeasible_exactly_where_the_certificates_drop():
