@@ -10,8 +10,10 @@ import argparse
 import json
 import sys
 from collections.abc import Callable, Iterable, Iterator
+from fractions import Fraction
 from functools import cache
 from itertools import chain, islice
+from math import lcm
 
 from .combinatorics import GeeParams, IndexSet, block_counts, is_subgee_profile
 from .duality import TopMonomial, _pairing_rows, _summand_count, _summands, pairing_set
@@ -156,11 +158,13 @@ def _cmd_oracle(args: argparse.Namespace) -> tuple[int, dict]:
 def _cmd_realize(args: argparse.Namespace) -> tuple[int, dict]:
     gee = _parse_gee(args.a)
     lv = realize_gee(gee, search_bound=args.bound)
+    # The exact total without adding Fractions: the scaled lengths' sum over their denominator.
+    denom = lcm(*(x.denominator for x in lv.lengths))
     return 0, {
         "a": list(gee.a),
         "n": lv.n,
         "lengths": [str(x) for x in lv.lengths],
-        "total": str(sum(lv.lengths)),
+        "total": str(Fraction(sum(lv.scaled()), denom)),
     }
 
 
@@ -362,7 +366,8 @@ def _render(
 
 
 @cache  # built on the first call, then shared: parse_args leaves the parser unchanged
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and its subcommand parsers by command name."""
     parser = argparse.ArgumentParser(
         prog="polyphi",
         description="Genetic codes of length vectors and the mod-2 duality functional "
@@ -403,11 +408,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for p in sub.choices.values():
         p.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """`parse_args(argv)` of the top-level parser, one parser level shorter.
+
+    When argv opens with a command, the top-level parser only hands the rest
+    to that command's parser and sets `command`, so the command's parser is
+    run directly.  Whatever it leaves over makes the top-level parser fail
+    with its own usage, so then, and when argv names no command, the full
+    parse runs: every usage, help, error and exit code is argparse's own.
+    """
+    parser, commands = _build_parser()
+    if argv and argv[0] in commands:
+        args, rest = commands[argv[0]].parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     run, columns, text = _COMMANDS[args.command]
     try:
         code, payload = run(args)

@@ -363,20 +363,20 @@ def _least_undominated(gee: GeeParams) -> list[tuple[int, ...]]:
     A set s_1 < ... < s_r escapes g_1 < ... < g_k when r > k, and then it
     dominates {1, ..., k+1}; or when some s_j > g_{k-r+j}, and then it
     dominates the set that runs 1, ..., j-1 and climbs by ones from
-    g_{k-r+j}+1.  So every undominated set dominates one of these O(k^2)
-    sets, and only those that dominate none of the others are kept: a set
-    is long whenever a set it dominates is.  A set that dominates another
-    has the larger sum, so one pass in order of sum keeps exactly these,
-    each repeated set once.  The list is made once per gee; the minimal
-    sets within {1..n-1} are those with top <= n-1, as a set's top is at
-    least the top of every set it dominates.
+    g_{k-r+j}+1.  That set's climbing tail has L = r-j+1 elements and
+    starts at g_{k-L+1}+1, which depends on L alone, so when j > 1 it
+    dominates the set with the same tail and no head.  So every undominated
+    set dominates one of k+1 sets: {1, ..., k+1}, and for each r <= k the r
+    integers that climb by ones from g_{k-r+1}+1.  Only those that dominate
+    none of the others are kept: a set is long whenever a set it dominates
+    is.  A set that dominates another has the larger sum, so one pass in
+    order of sum keeps exactly these, each repeated set once.  The list is
+    made once per gee; the minimal sets within {1..n-1} are those with top
+    <= n-1, as a set's top is at least the top of every set it dominates.
     """
     k, g = gee.k, gee.prefix_sums
     sets = [tuple(range(1, k + 2))]
-    for r in range(1, k + 1):
-        for j in range(1, r + 1):
-            lo = g[k - r + j - 1] + 1
-            sets.append((*range(1, j), *range(lo, lo + r - j + 1)))
+    sets += (tuple(range(g[k - r] + 1, g[k - r] + r + 1)) for r in range(1, k + 1))
     minimal: list[tuple[int, ...]] = []
     for s in sorted(sets, key=sum):
         if not any(_dominated(t, s) for t in minimal):
@@ -560,6 +560,6 @@ def realize_gee(gee: GeeParams, search_bound: int = DEFAULT_SEARCH_BOUND) -> Len
         )
     parts, gene = found
     candidate = LengthVector(tuple(Fraction(p) for p in parts))
-    if genetic_code(candidate, max_n=candidate.n) != GeneticCode((IndexSet(gene),), candidate.n):
+    if [g.elements for g in genetic_code(candidate, max_n=candidate.n).genes] != [gene]:
         raise AssertionError(f"{parts} does not realize gee {gee.a}")
     return candidate

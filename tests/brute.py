@@ -511,9 +511,10 @@ def realize_by_genetic_code(gee, search_bound: int) -> LengthVector:
 
 def least_undominated_unreduced(gee, n: int) -> list[tuple[int, ...]]:
     """The O(k^2) least subsets of {1..n-1} that the gee does not dominate,
-    before the library drops those that dominate another: {1, ..., k+1},
-    and for each size r <= k and position j <= r the set 1, ..., j-1 that
-    climbs by ones from g_{k-r+j}+1.  Those with top above n-1 are left out."""
+    with none dropped for dominating another: {1, ..., k+1}, and for each
+    size r <= k and position j <= r the set 1, ..., j-1 that climbs by ones
+    from g_{k-r+j}+1.  The library lists {1, ..., k+1} and the k sets with j = 1.
+    Those with top above n-1 are left out."""
     k, g = gee.k, gee.prefix_sums
     sets = [tuple(range(1, k + 2))]
     for r in range(1, k + 1):

@@ -20,10 +20,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from polyphi import GeeParams, IndexSet, admissible_summands, normalize, pairing_by_profile
-from polyphi.cli import MAX_EXPLAIN_SUMMANDS, _build_parser, _cell, _json, main
+from polyphi.cli import MAX_EXPLAIN_SUMMANDS, _build_parser, _cell, _json, _parse_args, main
 from polyphi.duality import _summand_count
 
 from brute import gene_stdouts, phi_text, subgee_profiles_by_filter
+from test_golden import CASES as GOLDEN_CASES
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -728,6 +729,49 @@ def test_parser_shared_between_calls_leaks_no_option(capsys):
     assert _build_parser.cache_info().misses == 1
 
 
+def test_direct_parse_matches_the_full_parse(capsys):
+    # `main` runs the command's parser alone when argv opens with a command;
+    # it must give the Namespace, or the exit, that the top-level parse does.
+    parser, _ = _build_parser()
+    argvs = [
+        *(
+            [*argv, "--format", fmt]
+            for argv, _, _ in GOLDEN_CASES.values()
+            for fmt in ("text", "json", "csv")
+        ),
+        [],
+        ["-h"],
+        ["--help"],
+        ["realize", "-h"],
+        ["realize", "--a", "2", "--help"],
+        ["tabulate", "--a", "2"],
+        ["gene"],
+        ["gene", "--lengths"],
+        ["gene", "--lengths", "1,1,1", "extra"],
+        ["gene", "extra", "--lengths", "1,1,1"],
+        ["gene", "--lengths", "1,1,1", "--form", "json"],
+        ["gene", "--lengths", "1,1,1", "--max", "5"],
+        ["gene", "--he"],
+        ["gene", "--lengths=1,1,1", "--max-n=5", "--format=csv"],
+        ["phi", "--a=2,2,2", "--J=3", "--explain"],
+        ["phi", "--a", "2", "--lengths", "1,1,1", "--J", "1"],
+        ["gene", "--", "--lengths", "1,1,1"],
+        ["--format", "json", "gene", "--lengths", "1,1,1"],
+        ["-h", "gene"],
+        ["realize", "--a", "2", "--bound", "x"],
+        ["realize", "--a", "2", "--bound", "-3"],
+    ]
+    for argv in argvs:
+        outcomes = []
+        for parse in (_parse_args, parser.parse_args):
+            try:
+                result = parse(list(argv))
+            except SystemExit as exc:
+                result = exc.code
+            outcomes.append((result, *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1], argv
+
+
 # ---------------------------------------------------------------- entry point
 
 def _run_module(*argv: str) -> subprocess.CompletedProcess:
@@ -740,6 +784,15 @@ def test_module_entry_point_writes_the_golden_bytes():
     done = _run_module("gene", "--lengths", "1,1,1,1,1", "--format", "json")
     expected = (GOLDEN / "cli" / "gene_monogenic.json").read_bytes()
     assert (done.returncode, done.stdout, done.stderr) == (0, expected, b"")
+
+
+def test_module_entry_point_parses_sys_argv():
+    # `main()` with no argv reads sys.argv; a stray positional is the
+    # top-level parser's error, with its usage.
+    done = _run_module("gene", "--lengths", "1,1,1", "extra")
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr.startswith(b"usage: polyphi [-h]")
+    assert done.stderr.endswith(b"polyphi: error: unrecognized arguments: extra\n")
 
 
 def test_module_entry_point_exits_2_on_a_bad_length():

@@ -819,13 +819,21 @@ def _window(gee):
 
 
 def test_least_undominated_keeps_only_minimal_sets():
-    for a in (a for k in range(5) for a in product(range(1, 4), repeat=k)):
+    # Up to k = 6, where the O(k^2) list holds the most sets with a head
+    # 1, ..., j-1 that the library no longer lists.
+    gees = [
+        *(a for k in range(6) for a in product(range(1, 4), repeat=k)),
+        *product(range(1, 3), repeat=6),
+    ]
+    for a in gees:
         gee = GeeParams(a)
         for n in _window(gee):
             kept = [s for s in _least_undominated(gee) if s[-1] < n]
+            unreduced = least_undominated_unreduced(gee, n)
+            assert set(kept) <= set(unreduced), (a, n)
             for s, t in combinations(kept, 2):
                 assert not greedy_set_leq(s, t) and not greedy_set_leq(t, s), (a, n, s, t)
-            for s in least_undominated_unreduced(gee, n):
+            for s in unreduced:
                 if s not in kept:
                     assert any(greedy_set_leq(t, s) for t in kept), (a, n, s)
 
@@ -973,6 +981,26 @@ def test_ruled_out_side_counts_have_no_passing_vector():
             for total in range(n, 41):
                 assert next(_passing_vectors(n, total, tables), None) is None, (a, n, total)
     assert dropped == 161
+
+
+def test_pair_certificate_fires_exactly_when_every_lp_is_infeasible():
+    # The pair certificate is the other reader of `_least_undominated`: on
+    # the 341 gees with k <= 4 and a_i <= 4 it refuses a gee exactly when
+    # the LP of every side count in the window is infeasible, and otherwise
+    # one of the first three side counts has a feasible LP.
+    fired = 0
+    for a in (a for k in range(5) for a in product(range(1, 5), repeat=k)):
+        gee = GeeParams(a)
+        g, least = gee.prefix_sums, _least_undominated(gee)
+        fires = any(greedy_set_leq(s + t, g + g) for s, t in combinations(least, 2))
+        feasible = [
+            least_total(n, (*g, n), [s for s in least if s[-1] < n], 10**9) is not None
+            for n in _window(gee)
+        ]
+        assert fires == (not any(feasible)), a
+        assert fires or any(feasible[:3]), a
+        fired += fires
+    assert fired == 240
 
 
 def test_kept_side_counts_have_a_passing_vector():
