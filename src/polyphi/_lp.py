@@ -3,51 +3,52 @@
 `least_total_carried` states the LP for one side count, and `least_value`
 solves it exactly.  They live apart from `lengths`, the package's largest
 module: with no bytecode cache, importing compiles each module whole, and
-the largest one sets the peak memory of the import.
+the largest one sets the peak memory of the import.  `lengths` builds the
+rows, as weights over the parts, and this module knows no sets.
 
 The LP's dual carries from one side count to the next.  At side count n
 the variables are x_j >= 0, with increments d_1 = 1 + x_1 and d_j = x_j.
-With c_j(A) the count of sides from j on outside a set A less the count
-inside it, the objective and the rows s_i = b_i + sum a_ij x_j >= 0 are
+A row of weights u_1..u_n sums to sum u_i p_i = sum U_j d_j, where U_j =
+u_j + ... + u_n is its suffix sum, and the total T to sum t_j d_j with t_j
+= n - j + 1.  The gene row u is -1 on G, and each escape row u is 1 on
+S + {n}, so the objective and the rows s_i = b_i + sum a_ij x_j >= 0 are
 
-    z   = T                 = n + sum t_j x_j          t_j = n - j + 1
-    s_G = T - 2p(G) - 1     = c_1 - 1 + sum c_j x_j    c_j = c_j(gee + {n})
-    s_S = 2p(S+{n}) - T - 1 = e_1 - 1 + sum e_j x_j    e_j = -c_j(S + {n})
+    z   = T                 = n + sum t_j x_j
+    s_G = T - 2p(G) - 1     = a_1 - 1 + sum a_j x_j    a_j = t_j + 2U_j
+    s_S = 2p(S+{n}) - T - 1 = a_1 - 1 + sum a_j x_j    a_j = 2U_j - t_j
 
 with one s_S per escape set S.  For multipliers y_i >= 0 on the rows,
 z = (z_0 - sum y_i b_i) + sum r_j x_j + sum y_i s_i with reduced costs
 r_j = t_j - sum y_i a_ij, so when every r_j >= 0, z_0 - sum y_i b_i bounds
 z from below (weak duality).  From n to n + 1 each set keeps its members
 below n, the gee's sides lie below n, and the top moves from n to n + 1:
-for j <= n, t_j and c_j grow by 1 and e_j falls by 1, and the new column
-has t = 1, c = -1 and e = 1; z_0 and b_G grow by 1 and each b_S falls by
-1.  The escape sets with top n join with y = 0.  With delta = y_G - sum
-y_S, every old r_j changes by 1 - delta, the new r_(n+1) is 1 + delta, and
-the bound grows by 1 - delta.  So four integers carry it, all over the
-basis determinant: the bound, the least r_j (0 when some x_j is basic),
-delta and the determinant (`next_side_count`).
+for j <= n each U_j stays and t_j grows by 1, so the gene row's a_j grows
+by 1 and each escape row's falls by 1, and the new column has t = 1, U =
+-1 on the gene row and U = 1 on each escape row, so a = -1 and a = 1; z_0
+and b_G grow by 1 and each b_S falls by 1.  The escape sets with top n
+join with y = 0.  With delta = y_G - sum y_S, every old r_j changes by
+1 - delta, the new r_(n+1) is 1 + delta, and the bound grows by 1 - delta.
+So four integers carry it, all over the basis determinant D: the bound,
+the least r_j (0 when some x_j is basic), delta and D (`next_side_count`).
+At side count n, column n reads the same t = 1, a = -1 and a = 1, so
+r_n = 1 + delta (D + delta over D), and a least r_j >= 0 gives delta >= -D.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from itertools import accumulate
 
 Carry = tuple[int, int, int, int]  # bound, least reduced cost, delta, determinant
 
 
-def least_total_carried(
-    n: int, gene: Iterable[int], escapes: list[tuple[int, ...]], cutoff: int
-) -> tuple[int | None, Carry]:
+def least_total_carried(rows: list[list[int]], cutoff: int) -> tuple[int | None, Carry]:
     """The ceiling of the least total T of a rational p_1 <= ... <= p_n with
     p_1 >= 1, 2p(G) <= T - 1 and 2p(S + {n}) >= T + 1 for each escape set S,
     from `least_value`: None when no p fits, and a value from cutoff up to
     the ceiling when the LP's bound reaches cutoff first.  Each passing
-    integer vector fits, so none sums to less.
-
-    The variables are the increments d_j = p_j - p_{j-1} >= 0, with d_1 =
-    1 + x_1 and d_j = x_j above it.  T - 2p(A) is the sum of d_j times the
-    count of sides from j on outside A, less the count inside A.
+    integer vector fits, so none sums to less.  The rows are weights over
+    p_1..p_n: the gene row first, -1 on G, then one row per escape set S,
+    1 on S + {n} (`lengths._rows`).
 
     With it come the four integers that carry the LP's dual bound to the
     next side count (module docstring): its bound and least reduced cost
@@ -55,7 +56,8 @@ def least_total_carried(
     the last tableau, at the optimum, the cutoff stop or the row that
     proves the LP infeasible.
     """
-    value, dual, d = least_value(_tableau(n, gene, escapes), cutoff)
+    n = len(rows[0])
+    value, dual, d = least_value(_tableau(rows), cutoff)
     y = dual[n + 1:]
     return value, (dual[0], min(dual[1:n + 1]), y[0] - sum(y[1:]), d)
 
@@ -68,17 +70,16 @@ def next_side_count(carry: Carry) -> Carry:
     return bound + d - delta, min(least + d - delta, d + delta), delta, d
 
 
-def _tableau(n: int, gene: Iterable[int], escapes: list[tuple[int, ...]]) -> list[list[int]]:
+def _tableau(rows: list[list[int]]) -> list[list[int]]:
     """The rows of `least_total_carried`'s LP, in `least_value`'s form: T,
-    the gene, then each escape set."""
-    tab = []
-    for members, sign in [((), 1), (gene, 1), *(((*s, n), -1) for s in escapes)]:
-        steps = [sign] * n
-        for i in members:
-            steps[i - 1] = -sign
-        row = [*accumulate(reversed(steps))][::-1]
+    then each weight row u, whose coefficient on x_j is the suffix sum from
+    j of 2u_i + 1 for the gene row and 2u_i - 1 for an escape row (module
+    docstring)."""
+    n = len(rows[0])
+    tab = [[n, *range(n, 0, -1)]]
+    for sign, u in zip([1] + [-1] * len(rows), rows):  # the gene row, then the escapes
+        row = [*accumulate([2 * w + sign for w in reversed(u)])][::-1]
         tab.append([row[0] - 1, *row])
-    tab[0][0] = n  # the first row is T itself, with no margin
     return tab
 
 

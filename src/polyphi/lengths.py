@@ -392,19 +392,31 @@ def _dominated(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     return len(a) <= len(b) and all(map(int.__le__, a, b[len(b) - len(a):]))
 
 
-def _prefix_tables(n: int, gene: tuple[int, ...], escapes: list[tuple[int, ...]]) -> list[tuple]:
+def _rows(n: int, gene: Iterable[int], escapes: list[tuple[int, ...]]) -> list[list[int]]:
+    """The weights over p_1..p_n of realize's rows at side count n, shared by
+    `_lp.least_total_carried` and `_prefix_tables`: the gene row first, -1
+    on G, then one row per escape set S (the sets exclude n), 1 on S + {n}."""
+    rows = []
+    for members, weight in [(gene, -1), *(((*s, n), 1) for s in escapes)]:
+        u = [0] * n
+        for i in members:
+            u[i - 1] = weight
+        rows.append(u)
+    return rows
+
+
+def _prefix_tables(rows: list[list[int]]) -> list[tuple]:
     """The rows of `_passing_vectors`, as one entry per row at each position
     q = 1..n-1.
 
-    A row gives each part p_i a weight u_i: -1 on G for the gene, 1 on S +
-    {n} for each escape set S (the sets exclude n), and then for each S the
-    sum of those two, in which p_n cancels.  The entry is (u_q, U_q, best,
-    length), where U_j = u_j + ... + u_n and best/length is the largest
-    U_j/(n - j + 1) over j > q, with length = n - j + 1 for the shortest
-    suffix that attains it."""
-    gene_row = [-(i in gene) for i in range(1, n + 1)]
-    escape_rows = [[int(i in s) for i in range(1, n)] + [1] for s in escapes]
-    rows = [gene_row, *escape_rows, *([e + g for e, g in zip(u, gene_row)] for u in escape_rows)]
+    The rows are `_rows`' weights u_i over the parts, the gene row and then
+    each escape row, and then each escape row against the gene, the sum of
+    the two, in which p_n cancels.  The entry is (u_q, U_q, best, length),
+    where U_j = u_j + ... + u_n and best/length is the largest U_j/(n - j +
+    1) over j > q, with length = n - j + 1 for the shortest suffix that
+    attains it."""
+    n, gene_row = len(rows[0]), rows[0]
+    rows = [*rows, *([e + g for e, g in zip(u, gene_row)] for u in rows[1:])]
     tables: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n - 1)]
     for u in rows:
         suffix = best = u[-1]
@@ -474,39 +486,34 @@ def realize_gee(gee: GeeParams, search_bound: int = DEFAULT_SEARCH_BOUND) -> Len
 
     The winner is the first passing vector in the order of total length,
     then side count n, then lexicographic among sorted positive integer
-    vectors, so results are deterministic.  The side count n runs in
-    increasing order from max(3, span+1) over a window of k+2 beyond that
-    minimum (larger n only helps when the gene needs more slack below it).
-    One domination certificate is checked first, once per gee: for two
-    minimal escape sets S and T (below), S + {n} and T + {n} long and G
-    short give p(S) + p(T) > 2*p(gee), as p_n cancels.  So when S + T is
-    dominated by gee + gee, as multisets, no vector with any n realizes the
-    gee, and the error below is raised before any LP.  For each n,
-    `least_total_carried` solves an exact LP whose least total L_n no
-    passing vector with n sides undercuts, and only then are its prefix
-    tables built and the totals from L_n up to one below the least total
-    found so far (search_bound + 1 before any) walked.  An n whose LP is
-    infeasible, or whose bound reaches that total, is skipped, and the LP
-    stops as soon as its bound does.  The LP is infeasible wherever {1..n-1}
-    minus the gee is dominated by G, since G cannot be short there.
+    vectors, so results are deterministic.  One domination certificate is
+    checked first, once per gee: for two minimal escape sets S and T
+    (below), S + {n} and T + {n} long and G short give p(S) + p(T) >
+    2*p(gee), as p_n cancels.  So when S + T is dominated by gee + gee, as
+    multisets, no vector with any n realizes the gee, and the error below
+    is raised before any LP.  Otherwise n runs up from max(3, span+1).  For
+    each n, `_rows` writes the gene and escape rows once, and
+    `least_total_carried` solves an exact LP on them whose least total L_n
+    no passing vector with n sides undercuts; only then are the same rows'
+    prefix tables built and the totals from L_n up to one below the least
+    total found so far (search_bound + 1 before any) walked.  An n whose LP
+    is infeasible, or whose bound reaches that total, gets no walk, and the
+    LP stops as soon as its bound does.  The LP is infeasible wherever
+    {1..n-1} minus the gee is dominated by G, since G cannot be short there.
 
-    The LP's last tableau, at its optimum, cutoff or infeasible row, holds
-    multipliers y >= 0 on the gene row and each escape row, which bound the
-    next n by weak duality.  In the increments x_j >= 0 (d_1 = 1 + x_1),
-    T = n + sum (n-j+1) x_j, and the rows T - 2p(G) - 1 >= 0 and
-    2p(S + {n}) - T - 1 >= 0 have coefficients c_j(G) and -c_j(S + {n}) on
-    x_j, where c_j(A) counts the sides from j on outside A less those
-    inside.  From n to n + 1 each old column's coefficient grows by 1 in T
-    and the gene row and falls by 1 in each escape row, the new column
-    reads 1, -1 and 1, the constants move as the first column does, and
-    the escape sets with top n join with y = 0.  With delta = y_G - sum y_S
-    the bound and every old reduced cost grow by 1 - delta and the new
-    reduced cost is 1 + delta (`_lp.next_side_count`).  While every reduced
-    cost is >= 0 and the ceiling of the carried bound reaches the least
-    total found, n is skipped with no LP: the bound is at most L_n, so the
-    LP would skip it too.  A later n replaces the best vector only with a
-    smaller total, and no bound skips a (total, n) pair that has a passing
-    vector, so no bound changes the winner.
+    The loop ends by proof, with no window.  A vector with n sides sums to
+    at least n, so no n at or above the least total found matters.  And
+    the LP's dual values, carried to the next n (`_lp`'s module docstring
+    derives it), bound every total with n sides from below while the least
+    reduced cost is >= 0.  When that bound also reaches the least total
+    found and delta <= d, the basis determinant the carry is over, the loop
+    stops: each later step adds d - delta >= 0 to the bound and to every
+    old reduced cost, and gives the new column d + delta, x_n's reduced
+    cost, already >= 0.  So every later n stays ruled out, as the least
+    total found only falls.  An n that the carry rules out with delta > d
+    gets its LP, which decides it alone.  A later n replaces the best
+    vector only with a smaller total, and no bound rules out a (total, n)
+    pair that has a passing vector, so neither rule changes the winner.
 
     A vector has the single gene G = gee + {n} exactly when the short sets
     containing n are the sets G dominates: G is short, and S + {n} is long
@@ -531,29 +538,26 @@ def realize_gee(gee: GeeParams, search_bound: int = DEFAULT_SEARCH_BOUND) -> Len
     """
     check_ints((search_bound,), 1, "search bound must be positive")
     least = _least_undominated(gee)
-    n_min = max(3, gee.span + 1)
-    sides = range(n_min, min(n_min + gee.k + 2, search_bound) + 1)
     twice = tuple(sorted(gee.prefix_sums * 2))
-    if any(_dominated(sorted(s + t), twice) for s, t in combinations(least, 2)):
-        sides = range(0)
+    refused = any(_dominated(sorted(s + t), twice) for s, t in combinations(least, 2))
     best, found = search_bound + 1, None  # the least total found so far, its vector and gene
-    carry = None
-    for n in sides:
+    n, carry = max(3, gee.span + 1), None
+    while n < best and not refused:
         if carry:
-            bound, cost, _, d = carry = next_side_count(carry)
-            if cost >= 0 and bound > (best - 1) * d:
-                continue
+            bound, cost, delta, d = carry = next_side_count(carry)
+            if cost >= 0 and bound > (best - 1) * d and delta <= d:
+                break  # every later n is ruled out too
         gene = (*gee.prefix_sums, n)
-        escapes = [s for s in least if s[-1] < n]
-        start, carry = least_total_carried(n, gene, escapes, best)
-        if start is None or start >= best:
-            continue
-        tables = _prefix_tables(n, gene, escapes)
-        for total in range(start, best):
-            parts = next(_passing_vectors(n, total, tables), None)
-            if parts:
-                best, found = total, (parts, gene)
-                break
+        rows = _rows(n, gene, [s for s in least if s[-1] < n])
+        start, carry = least_total_carried(rows, best)
+        if start is not None and start < best:
+            tables = _prefix_tables(rows)
+            for total in range(start, best):
+                parts = next(_passing_vectors(n, total, tables), None)
+                if parts:
+                    best, found = total, (parts, gene)
+                    break
+        n += 1
     if found is None:
         raise RealizationNotFoundError(
             f"no integer length vector with total <= {search_bound} realizes gee {gee.a}"

@@ -22,11 +22,14 @@ lengths
                       genetic_code_by_gray_walk, every subset in Gray-code
                       order with no cut, n <= 18;
                       genetic_code_by_subset_sums, the search that walks
-                      every level to the leaves, the only oracle at n 19-27
+                      every level to the leaves, the only oracle at n 19-27,
+                      which also names the first vector of test_sweeps'
+                      genetic_code digest that changed
   enumerate_subgees   brute_subgees, every subset (span <= 10);
                       subgees_by_profile, profiles expanded block by block
   realize_gee         realize_by_genetic_code, every ascending tuple
-                      (ascending_tuples) with its genetic code computed:
+                      (ascending_tuples) at every side count up to its
+                      total, with its genetic code computed:
                       every gee with k <= 3 and a_i <= 4 at totals <= 20,
                       and five unrealizable gees, k 3-6, at totals <= 26;
                       least_undominated_unreduced, the O(k^2) escape sets
@@ -36,7 +39,7 @@ lengths
                       _certified_window rule out; ascending_tuples also
                       lists the completions whose largest row value each
                       _prefix_tables bound must reach (n <= 7)
-  (_lp.least_total)   least_total_by_simplex, a primal simplex over Fractions
+  (_lp.least_value)    least_total_by_simplex, a primal simplex over Fractions
                       on its own rows (d_1 >= 1 a row, not a shift) that
                       minimises (artificials, T) lexicographically; every n
                       of the window, k <= 3 and a_i <= 3
@@ -44,7 +47,12 @@ lengths
    next_side_count)   given multipliers, and reduced_costs_by_rows under
                       them: the LP's own, at several cutoffs, and those
                       carried to every later n of the window, k <= 4 and
-                      a_i <= 3
+                      a_i <= 3; least_total_by_simplex again from
+                      realize's stop up to the bound, k <= 4, a_i <= 3
+  (pair certificate)  pair_certificate_sweep, not an oracle: the
+                      certificate decided with greedy_set_leq against the
+                      library's LPs, k <= 4 and a_i <= 4 (tier-1), and k 6-8
+                      in pair_sweep.py
 duality
   admissible_summands summands_by_enumeration, every composition of
                       k - |profile| filtered by the suffix condition, k <= 6
@@ -75,7 +83,9 @@ from fractions import Fraction
 from itertools import accumulate, combinations, permutations, product
 from math import factorial, lcm
 
+from polyphi._lp import least_total_carried
 from polyphi.combinatorics import (
+    GeeParams,
     IndexSet,
     Profile,
     binom_parity,
@@ -93,6 +103,8 @@ from polyphi.lengths import (
     GeneticCode,
     LengthVector,
     genetic_code,
+    _least_undominated,
+    _rows,
     is_generic,
     monogenic_gee,
 )
@@ -482,15 +494,15 @@ def ascending_tuples(parts: int, total: int, lo: int = 1) -> Iterator[tuple[int,
 
 
 def realize_by_genetic_code(gee, search_bound: int) -> LengthVector:
-    """`realize_gee` without its prefix cuts and undominated-set tests: every
-    ascending tuple on which the gene is short has its genetic code computed
-    and compared.  Same scan order, result and error message."""
+    """`realize_gee` without its prefix cuts, undominated-set tests, LP
+    bounds or stop: every ascending tuple, at every side count n up to its
+    total, on which the gene is short has its genetic code computed and
+    compared.  Same scan order, result and error message."""
     if search_bound < 1:
         raise ValueError(f"search bound must be positive, got {search_bound}")
     n_min = max(3, gee.span + 1)
-    n_max = n_min + gee.k + 2
     for total in range(n_min, search_bound + 1):
-        for n in range(n_min, min(n_max, total) + 1):
+        for n in range(n_min, total + 1):
             gene = IndexSet([*gee.gee(), n])
             target = GeneticCode((gene,), n)
             for parts in ascending_tuples(n, total):
@@ -611,3 +623,31 @@ def least_total_by_simplex(n: int, gene, escapes) -> Fraction | None:
                 tab[i] = [x - f * y for x, y in zip(row, tab[r])]
         basis[r] = enter
     return None if tab[m][-1] else -tab[m + 1][-1]
+
+
+def pair_certificate_sweep(gees) -> int:
+    """How many of the gees (tuples of increments) the pair certificate
+    refuses, asserting on each gee that it fires exactly when the LP of
+    every side count from n_min = max(3, span+1) through n_min + k + 2 is
+    infeasible, and that otherwise n_min, n_min + 1 or n_min + 2 has a
+    feasible LP.  The certificate is decided here with greedy_set_leq over
+    the library's minimal escape sets, and the LPs are the library's
+    (`lengths._rows`, `_lp.least_total_carried`): this sweep checks one
+    library reader of those sets against the other, not against an oracle.
+    `test_lengths` runs it on k <= 4 and a_i <= 4, and `pair_sweep.py` on
+    the larger boxes."""
+    fired = 0
+    for a in gees:
+        gee = GeeParams(a)
+        g, least = gee.prefix_sums, _least_undominated(gee)
+        fires = any(greedy_set_leq(s + t, g + g) for s, t in combinations(least, 2))
+        n_min = max(3, gee.span + 1)
+        feasible = [
+            least_total_carried(_rows(n, (*g, n), [s for s in least if s[-1] < n]), 10**9)[0]
+            is not None
+            for n in range(n_min, n_min + gee.k + 3)
+        ]
+        assert fires == (not any(feasible)), a
+        assert fires or any(feasible[:3]), a
+        fired += fires
+    return fired

@@ -50,6 +50,7 @@ from polyphi.lengths import (
     _least_undominated,
     _passing_vectors,
     _prefix_tables,
+    _rows as weight_rows,
     _subset_sums,
 )
 
@@ -66,6 +67,7 @@ from brute import (
     is_short,
     least_total_by_simplex,
     least_undominated_unreduced,
+    pair_certificate_sweep,
     realize_by_genetic_code,
     reduced_costs_by_rows,
     subgees_by_profile,
@@ -812,8 +814,9 @@ def test_least_undominated_sets_are_complete():
 
 
 def _window(gee):
-    """The side counts n of `realize_gee`'s window for the gee, before its
-    search bound caps it and before `_certified_window` narrows it."""
+    """The side counts n that these tests try for the gee, n_min = max(3,
+    span+1) through n_min + k + 2, before `_certified_window` narrows them.
+    `realize_gee` has no window: its loop ends by proof."""
     n_min = max(3, gee.span + 1)
     return range(n_min, n_min + gee.k + 3)
 
@@ -846,7 +849,8 @@ def test_prefix_walk_yields_exactly_the_filtered_tuples():
         gee = GeeParams(a)
         for n in _window(gee):
             gene = IndexSet([*gee.gee(), n])
-            tables = _prefix_tables(n, gene, [s for s in _least_undominated(gee) if s[-1] < n])
+            least = [s for s in _least_undominated(gee) if s[-1] < n]
+            tables = _prefix_tables(weight_rows(n, gene, least))
             escapes = [(*s, n) for s in least_undominated_unreduced(gee, n)]
             for total in range(n, 21):
                 passing = [
@@ -913,7 +917,7 @@ def test_row_bound_is_the_largest_completion():
         for n in (n for n in _window(gee) if n <= 7):
             gene = [*gee.gee(), n]
             escapes = [s for s in least if s[-1] < n]
-            tables = _prefix_tables(n, IndexSet(gene), escapes)
+            tables = _prefix_tables(weight_rows(n, IndexSet(gene), escapes))
             rows = _rows(n, gene, escapes)
             assert [[entry[0] for entry in t] for t in tables] == [list(u) for u in zip(*rows)][:-1]
             for q, t in enumerate(tables, start=1):
@@ -977,7 +981,8 @@ def test_ruled_out_side_counts_have_no_passing_vector():
                     and all(2 * sum(p[j - 1] for j in s) > total for s in escapes)
                     for p in ascending_tuples(n, total)
                 ), (a, n, total)
-            tables = _prefix_tables(n, gene, [s for s in _least_undominated(gee) if s[-1] < n])
+            least = [s for s in _least_undominated(gee) if s[-1] < n]
+            tables = _prefix_tables(weight_rows(n, gene, least))
             for total in range(n, 41):
                 assert next(_passing_vectors(n, total, tables), None) is None, (a, n, total)
     assert dropped == 161
@@ -986,21 +991,11 @@ def test_ruled_out_side_counts_have_no_passing_vector():
 def test_pair_certificate_fires_exactly_when_every_lp_is_infeasible():
     # The pair certificate is the other reader of `_least_undominated`: on
     # the 341 gees with k <= 4 and a_i <= 4 it refuses a gee exactly when
-    # the LP of every side count in the window is infeasible, and otherwise
-    # one of the first three side counts has a feasible LP.
-    fired = 0
-    for a in (a for k in range(5) for a in product(range(1, 5), repeat=k)):
-        gee = GeeParams(a)
-        g, least = gee.prefix_sums, _least_undominated(gee)
-        fires = any(greedy_set_leq(s + t, g + g) for s, t in combinations(least, 2))
-        feasible = [
-            least_total(n, (*g, n), [s for s in least if s[-1] < n], 10**9) is not None
-            for n in _window(gee)
-        ]
-        assert fires == (not any(feasible)), a
-        assert fires or any(feasible[:3]), a
-        fired += fires
-    assert fired == 240
+    # the LP of every side count of `_window` is infeasible, and otherwise
+    # one of the first three side counts has a feasible LP.  `pair_sweep.py`
+    # runs the same check on the larger boxes.
+    gees = (a for k in range(5) for a in product(range(1, 5), repeat=k))
+    assert pair_certificate_sweep(gees) == 240
 
 
 def test_kept_side_counts_have_a_passing_vector():
@@ -1014,7 +1009,7 @@ def test_kept_side_counts_have_a_passing_vector():
         for n in range(n_min, n_max + 1):
             kept += 1
             gene = IndexSet([*gee.gee(), n])
-            tables = _prefix_tables(n, gene, [s for s in least if s[-1] < n])
+            tables = _prefix_tables(weight_rows(n, gene, [s for s in least if s[-1] < n]))
             assert any(
                 next(_passing_vectors(n, total, tables), None) for total in range(n, 161)
             ), (a, n)
@@ -1041,8 +1036,9 @@ def test_unrealizable_gees_are_refused_before_any_walk(a, monkeypatch):
 
 
 def least_total(n, gene, escapes, cutoff):
-    """The LP's ceiling from `least_total_carried`, without the carry."""
-    return least_total_carried(n, gene, escapes, cutoff)[0]
+    """The LP's ceiling from `least_total_carried` on the rows of the gene
+    and the escape sets at side count n, without the carry."""
+    return least_total_carried(weight_rows(n, gene, escapes), cutoff)[0]
 
 
 def test_realize_builds_tables_only_for_kept_side_counts(monkeypatch):
@@ -1051,9 +1047,9 @@ def test_realize_builds_tables_only_for_kept_side_counts(monkeypatch):
     # least passing total of every smaller side count (or the bound, 18).
     built = []
 
-    def counting(n, gene, escapes):
-        built.append(n)
-        return _prefix_tables(n, gene, escapes)
+    def counting(rows):
+        built.append(len(rows[0]))
+        return _prefix_tables(rows)
 
     monkeypatch.setattr("polyphi.lengths._prefix_tables", counting)
     for a in SMALL_GEES:
@@ -1071,7 +1067,7 @@ def test_realize_builds_tables_only_for_kept_side_counts(monkeypatch):
             bound = least_total(n, gene, escapes, 10**6)
             if bound is not None and bound < best:
                 expected.append(n)
-            tables = _prefix_tables(n, gene, escapes)
+            tables = _prefix_tables(weight_rows(n, gene, escapes))
             best = next((t for t in range(n, best) if next(_passing_vectors(n, t, tables), None)), best)
         assert built == expected, a
 
@@ -1106,6 +1102,7 @@ def test_lp_dual_values_bound_by_weak_duality_and_carry_to_later_side_counts():
     # the escape sets that join, the four integers give the least brute
     # reduced cost and bound, and that bound never exceeds the minimum.  Of
     # the carried multipliers, 270 leave a reduced cost below 0 at a later n.
+    # The reduced cost of x_n is d + delta, which realize's stop relies on.
     # A flipped delta, a dropped 1 + delta term or y read from the x columns
     # in `_lp` each fail this test.
     verdicts = Counter()
@@ -1119,14 +1116,16 @@ def test_lp_dual_values_bound_by_weak_duality_and_carry_to_later_side_counts():
         for n in window:
             gene, escapes = rows[n]
             for cutoff in (n, n + 6, 10**6):
-                value, dual, d = least_value(_tableau(n, gene, escapes), cutoff)
+                value, dual, d = least_value(_tableau(weight_rows(n, gene, escapes)), cutoff)
                 bound, *costs = [Fraction(v, d) for v in dual[:n + 1]]
                 y = [Fraction(v, d) for v in dual[n + 1:]]
+                # x_n's column reads t = 1, -1 and 1, so r_n = d + delta.
+                assert dual[n] == d + dual[n + 1] - sum(dual[n + 2:]), (a, n, cutoff)
                 assert reduced_costs_by_rows(n, gene, escapes, y) == costs, (a, n, cutoff)
                 assert dual_bound_by_rows(n, gene, escapes, y) == bound, (a, n, cutoff)
                 if value is not None and value < cutoff:
                     assert bound == exact[n], (a, n, cutoff)
-                start, carry = least_total_carried(n, gene, escapes, cutoff)
+                start, carry = least_total_carried(weight_rows(n, gene, escapes), cutoff)
                 assert start == value, (a, n, cutoff)
                 joined = dict(zip(escapes, y[1:]))
                 for later in range(n + 1, window.stop):
@@ -1168,6 +1167,40 @@ def test_realize_lp_work_counts(monkeypatch):
     assert (lps, pivots) == (79, 89)
 
 
+def test_realize_stops_only_where_no_later_side_count_can_win(monkeypatch):
+    # Realize's side-count loop ends by proof, not by a window: on the 57
+    # gees with k <= 4 and a_i <= 3 that the pair certificate does not
+    # refuse, at bound 17 (11 realized), every n from where the loop stopped
+    # up to the bound has an LP minimum, by the Fraction simplex, whose
+    # ceiling is at least the winner's total (18 for a refusal), or no
+    # vector at all.  The loop solves an LP at every n before its stop, so
+    # the stop is n_min plus the count of LPs.  The Fraction simplex sets
+    # the cost: bound 20 took about 2 s, and bound 40 over 4 s.
+    lps = 0
+
+    def solving(*args):
+        nonlocal lps
+        lps += 1
+        return least_total_carried(*args)
+
+    monkeypatch.setattr("polyphi.lengths.least_total_carried", solving)
+    kept = realized = 0
+    for a in (a for k in range(5) for a in product(range(1, 4), repeat=k)):
+        gee = GeeParams(a)
+        g, least = gee.prefix_sums, _least_undominated(gee)
+        if any(greedy_set_leq(s + t, g + g) for s, t in combinations(least, 2)):
+            continue
+        kept += 1
+        lps = 0
+        winner = _realized(realize_gee, a, 17)
+        best = sum(winner) if isinstance(winner, tuple) else 18
+        realized += best <= 17
+        for n in range(max(3, gee.span + 1) + lps, 18):
+            exact = least_total_by_simplex(n, [*g, n], [s for s in least if s[-1] < n])
+            assert exact is None or math.ceil(exact) >= best, (a, n)
+    assert (kept, realized) == (57, 11)
+
+
 def test_least_total_is_infeasible_exactly_where_the_certificates_drop():
     dropped = kept = 0
     for a in SMALL_GEES + list(product(range(1, 4), repeat=4)):
@@ -1199,7 +1232,7 @@ def test_least_total_is_the_least_passing_total():
             gene = IndexSet([*gee.gee(), n])
             escapes = [s for s in least if s[-1] < n]
             bound = least_total(n, gene, escapes, 10**6)
-            tables = _prefix_tables(n, gene, escapes)
+            tables = _prefix_tables(weight_rows(n, gene, escapes))
             assert next(_passing_vectors(n, bound, tables), None), (a, n)
             below = (next(_passing_vectors(n, t, tables), None) for t in range(n, bound))
             assert not any(below), (a, n)

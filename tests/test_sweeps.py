@@ -11,10 +11,13 @@ golden file.
 from __future__ import annotations
 
 import hashlib
+import random
 from itertools import product
 
-from polyphi import GeeParams, realize_gee
-from polyphi.errors import RealizationNotFoundError
+from polyphi import GeeParams, genetic_code, normalize, realize_gee
+from polyphi.errors import PolyphiError, RealizationNotFoundError
+
+from brute import genetic_code_by_subset_sums
 
 # Every gee with k <= 5 and a_i <= 4, and k = 6 with a_i <= 3: 2,094 gees.
 REALIZE_GEES = [
@@ -119,3 +122,43 @@ def test_realize_sweep_matches_its_digest():
         case, line, old = next((i, x, y) for i, (x, y) in enumerate(zip(lines, pinned)) if x != y)
         raise AssertionError(f"realize sweep changed; first at case {case}: {line!r}, pinned {old!r}")
     assert sum(not line.endswith("|-\n") for line in lines) == REALIZE_FOUND
+
+
+# 16 seeded vectors for each n from 3 to 21 and each side range: random in
+# 1..10^6, small in 1..12 (ties, and many not generic) and near-equal in
+# 1000..1050; 912 vectors, 701 with a code (107,994 genes), about 0.9 s.
+GENE_DIGEST = "bd70951138c19b8c6a108f6137f0cc107c82ff4663eff280a0b10bbb3fe5f830"
+
+
+def _gene_vectors() -> list[list[int]]:
+    rng = random.Random(20261022)
+    return [
+        [rng.randint(lo, hi) for _ in range(n)]
+        for n in range(3, 22)
+        for lo, hi in ((1, 10**6), (1, 12), (1000, 1050))
+        for _ in range(16)
+    ]
+
+
+def _gene_line(raw: list[int], search) -> str:
+    """A `lengths|code` line: the genes space-joined, each comma-joined, or
+    the name of the error the search raised."""
+    try:
+        code = " ".join(",".join(map(str, g.elements)) for g in search(normalize(raw)).genes)
+    except PolyphiError as exc:
+        code = type(exc).__name__
+    return f"{','.join(map(str, raw))}|{code}\n"
+
+
+def test_genetic_code_sweep_matches_its_digest():
+    # `realize` confirms each winner with `genetic_code`, so this guards it too.
+    vectors = _gene_vectors()
+    lines = [_gene_line(raw, genetic_code) for raw in vectors]
+    if _digest(lines) != GENE_DIGEST:
+        # A digest names no case: find the first that the search walking
+        # every level to its leaves answers otherwise.
+        for i, (raw, line) in enumerate(zip(vectors, lines)):
+            oracle = _gene_line(raw, genetic_code_by_subset_sums)
+            assert line == oracle, f"gene sweep changed; first at case {i}: {line!r}, not {oracle!r}"
+        raise AssertionError("genetic_code agrees with its oracle everywhere; the vectors changed")
+    assert sum(not line.endswith("Error\n") for line in lines) == 701
